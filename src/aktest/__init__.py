@@ -14,7 +14,6 @@ from .covering import (
     EMPTY_CODE,
     CoverFamily,
     SamplePointGrid,
-    build_cover,
     build_grid,
 )
 from .distributions import (
@@ -30,7 +29,6 @@ from .distributions import (
 from .errors import CapExceeded, InvalidInput
 from .families import FAMILY_NAMES, FamilyInstance, make_instance
 from .flatten import (
-    CountVector,
     SplitMap,
     TestVerdict,
     build_split_map,
@@ -88,7 +86,6 @@ __all__ = [
     "AkTestResult",
     "AxisRectangle",
     "CapExceeded",
-    "CountVector",
     "CoverFamily",
     "DiscreteGridDistribution",
     "EMPTY",
@@ -112,7 +109,6 @@ __all__ = [
     "ak_closeness_test",
     "ak_distance_1d",
     "ak_distance_bruteforce",
-    "build_cover",
     "build_grid",
     "build_split_map",
     "consistency_satisfied",

@@ -16,7 +16,6 @@ outcomes; the integer-encoded fast path uses -1 for it.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Final, Sequence
@@ -180,21 +179,12 @@ class CoverFamily:
 
     # ---- point membership ------------------------------------------------
 
-    def gap_of_value(self, axis: int, x: float) -> int | None:
-        """Effective gap index of a value: which [v_t, v_{t+1}) holds it.
-
-        None when x is outside the span; the top value belongs to the last
-        gap (closed right end).
-        """
-        vals = self.grid.axis_values[axis]
-        if x < vals[0] or x > vals[-1]:
-            return None
-        if x == vals[-1]:
-            return self.m - 1
-        return bisect.bisect_right(vals, x) - 1
-
     def gaps_of_points(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized gap_of_value: (n, d) coordinates -> (n, d) gaps, -1 outside."""
+        """Effective gap indices: (n, d) coordinates -> (n, d) gaps.
+
+        Gap t is [v_t, v_{t+1}); the top value belongs to the last gap
+        (closed right end), and a coordinate outside the span maps to -1.
+        """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InvalidInput("points must have shape (n, d)")
@@ -217,12 +207,10 @@ class CoverFamily:
 
     def containing_ids(self, z: Sequence[float]) -> list[RectId]:
         """All family rectangles containing a span point (levels^d of them)."""
-        per_axis: list[list[AxisInterval]] = []
-        for j, x in enumerate(z):
-            gap = self.gap_of_value(j, float(x))
-            if gap is None:
-                return []
-            per_axis.append(self.containing_intervals(j, gap))
+        (gaps,) = self.gaps_of_points([z]).tolist()
+        if min(gaps) < 0:
+            return []
+        per_axis = [self.containing_intervals(j, gap) for j, gap in enumerate(gaps)]
         return [tuple(combo) for combo in itertools.product(*per_axis)]
 
     def axis_membership_count(self, axis: int, gap: int) -> int:
@@ -371,7 +359,3 @@ class CoverFamily:
             flats.append(int(code % base))
             code //= base
         return tuple(self.decode_flat(f) for f in reversed(flats))
-
-
-def build_cover(grid: SamplePointGrid) -> CoverFamily:
-    return CoverFamily(grid)

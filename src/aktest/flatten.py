@@ -1,25 +1,26 @@
 """Flattening (split distributions) and the robust l2 closeness tester.
 
-The domain here is deliberately generic: any hashable elements, or int64
-numpy arrays for the vectorized path the end-to-end tester uses. A sample
-access is a callable ``access(n, rng) -> sequence of n elements``; all
-randomness flows through the generator the caller passes in, so runs are
-reproducible and order-independent of wall-clock effects.
+A sample access is a callable ``access(n, rng) -> 1-d array of n codes``.
+Counts are always array pairs: the sorted distinct codes of a draw and
+their int64 counts. ``robust_l2_test`` takes codes of any sortable dtype;
+``flatten_closeness`` needs integer codes, because split pieces are keyed
+by arithmetic on them. All randomness flows through the generator the
+caller passes in, so runs are reproducible and order-independent of
+wall-clock effects.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import InvalidInput
 
-SampleAccess = Callable[[int, np.random.Generator], Sequence[Hashable]]
+SampleAccess = Callable[[int, np.random.Generator], np.ndarray]
 
 DEFAULT_ROBUST_CONST = 4.0  # c_r in m = ceil(c_r sqrt(b) / eps^2)
 DEFAULT_FLATTEN_CONST = 2.0  # c_f in m0 = min(s/100, ceil(c_f eps^(-4/3)))
@@ -40,34 +41,14 @@ class TestVerdict:
         return "accept" if self.accept else "reject"
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """Per-element sample counts for the two sides of a collision test."""
-
-    counts_p: dict
-    counts_q: dict
-
-    @classmethod
-    def from_samples(cls, samples_p, samples_q) -> "CountVector":
-        return cls(_count(samples_p), _count(samples_q))
-
-
-def _count(samples) -> dict:
-    if isinstance(samples, np.ndarray):
-        uids, counts = np.unique(samples, return_counts=True)
-        return dict(zip(uids.tolist(), counts.tolist()))
-    return dict(Counter(samples))
-
-
 def l2_collision_statistic(counts_p: Mapping, counts_q: Mapping) -> float:
     """Z = sum over elements of (X_i - Y_i)^2 - X_i - Y_i.
 
     Under Poissonized sampling with budget m per side, E[Z] = m^2 ||p - q||_2^2.
     Elements absent from both sides contribute zero, so iterating the union
-    of observed elements is exact.
+    of observed elements is exact. This is the reference the array form
+    of the statistic is checked against.
     """
-    if isinstance(counts_p, CountVector) or isinstance(counts_q, CountVector):
-        raise InvalidInput("pass the two count mappings, not a CountVector")
     z = 0
     for key in counts_p.keys() | counts_q.keys():
         x = counts_p.get(key, 0)
@@ -79,7 +60,7 @@ def l2_collision_statistic(counts_p: Mapping, counts_q: Mapping) -> float:
 def _z_from_arrays(
     uids_p: np.ndarray, counts_p: np.ndarray, uids_q: np.ndarray, counts_q: np.ndarray
 ) -> float:
-    """l2_collision_statistic over sorted, distinct int64 codes per side.
+    """l2_collision_statistic over sorted, distinct codes per side.
 
     Z = sum X^2 + sum Y^2 - 2 sum XY - sum X - sum Y, where the cross term
     runs over the codes both sides hold. A stable sort of the two sorted
@@ -89,7 +70,8 @@ def _z_from_arrays(
     keys = np.concatenate([uids_p, uids_q])
     values = np.concatenate([counts_p, counts_q]).astype(np.int64)
     order = np.argsort(keys, kind="stable")
-    shared = np.flatnonzero(np.diff(keys[order]) == 0)
+    ordered = keys[order]
+    shared = np.flatnonzero(ordered[1:] == ordered[:-1])
     cross = values[order[shared]] @ values[order[shared + 1]]
     return float(values @ values - 2 * cross - values.sum())
 
@@ -140,47 +122,35 @@ class SplitMap:
 
     # ---- sampling-side application ------------------------------------------
 
-    def split_sample(self, elem, rng: np.random.Generator):
-        """Map one base draw to the split domain: (elem, j), j uniform in 1..a_i."""
-        return (elem, 1 + int(rng.integers(self.a(elem))))
-
-    def split_counts(self, counts: Mapping, rng: np.random.Generator) -> dict:
-        """Redistribute observed counts multinomially over the split pieces.
-
-        Equivalent in distribution to splitting each sample independently,
-        since the uniform piece choices within one element are exchangeable.
-        """
-        out = {}
-        for elem, c in counts.items():
-            parts = self.a(elem)
-            if parts == 1:
-                out[(elem, 1)] = c
-                continue
-            pieces = rng.multinomial(int(c), np.full(parts, 1.0 / parts))
-            for j, piece in enumerate(pieces, start=1):
-                if piece:
-                    out[(elem, j)] = int(piece)
-        return out
-
     def split_counts_arrays(
         self, uids: np.ndarray, counts: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Array form of split_counts over sorted, distinct int64 codes.
+        """Redistribute observed counts of sorted, distinct integer codes
+        multinomially over the split pieces.
 
-        Split pieces are encoded as uid * max_parts + (j - 1); both sides of
-        a test share the map, hence the encoding, so joint keys line up. The
-        output is sorted by code and may hold pieces with count 0.
+        That is equivalent in distribution to splitting each sample
+        independently, since the uniform piece choices within one element
+        are exchangeable. Split pieces are encoded as uid * max_parts +
+        (j - 1); both sides of a test share the map, hence the encoding, so
+        joint keys line up. The output is sorted by code and may hold pieces
+        with count 0. Raises InvalidInput when a piece code would overflow
+        int64.
 
         The multinomial split runs as a chain of binomials, vectorised over
         the split elements present: piece j of an element with a parts takes
         Bin(remaining, 1 / (a - j + 1)) of what the earlier pieces left, and
-        the last piece takes the rest. That is the law of split_counts, but
-        not its rng stream.
+        the last piece takes the rest.
         """
         parts = self.max_parts
-        codes = uids.astype(np.int64) * parts
         if parts == 1 or not len(uids):
-            return codes, counts
+            return uids.astype(np.int64), counts
+        # uids are sorted, so the two ends bound every piece code.
+        if uids[0] < -(2**63 // parts) or uids[-1] > (2**63 - parts) // parts:
+            raise InvalidInput(
+                f"split codes overflow int64: codes span [{uids[0]}, {uids[-1]}]"
+                f" with {parts} pieces per element"
+            )
+        codes = uids.astype(np.int64) * parts
         keys, mult = self._split_arrays
         pos = np.minimum(np.searchsorted(uids, keys), len(uids) - 1)
         found = uids[pos] == keys
@@ -219,16 +189,16 @@ class SplitMap:
 
 
 def build_split_map(samples, domain_size: int | None = None) -> SplitMap:
-    """Split map of a flattening multiset.
+    """Split map of a flattening multiset, a 1-d array-like of elements.
 
     When ``domain_size`` is given the elements must be ints in
-    [0, domain_size); otherwise any hashables are accepted.
+    [0, domain_size); otherwise any sortable elements are accepted.
     """
-    if isinstance(samples, np.ndarray):
-        uids, counts = np.unique(samples, return_counts=True)
-        mult = dict(zip(uids.tolist(), counts.tolist()))
-    else:
-        mult = dict(Counter(samples))
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise InvalidInput("a flattening multiset must be 1-d")
+    uids, counts = np.unique(samples, return_counts=True)
+    mult = dict(zip(uids.tolist(), counts.tolist()))
     if domain_size is not None:
         for elem in mult:
             if not isinstance(elem, (int, np.integer)) or not 0 <= elem < domain_size:
@@ -238,15 +208,15 @@ def build_split_map(samples, domain_size: int | None = None) -> SplitMap:
     return SplitMap(mult, domain_size)
 
 
-def _draw_counts(access: SampleAccess, n: int, rng: np.random.Generator):
-    """Draw n samples and count them; returns a dict or an array pair."""
-    samples = access(n, rng)
-    if isinstance(samples, np.ndarray):
-        if samples.ndim != 1:
-            raise InvalidInput("array sample accesses must return 1-d codes")
-        uids, counts = np.unique(samples, return_counts=True)
-        return uids.astype(np.int64), counts.astype(np.int64)
-    return _count(samples)
+def _draw_counts(
+    access: SampleAccess, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n samples; their sorted distinct codes and int64 counts."""
+    samples = np.asarray(access(n, rng))
+    if samples.ndim != 1:
+        raise InvalidInput("sample accesses must return 1-d codes")
+    uids, counts = np.unique(samples, return_counts=True)
+    return uids, counts.astype(np.int64)
 
 
 def robust_l2_test(
@@ -269,8 +239,8 @@ def robust_l2_test(
     statistic is the median Z, so "reject iff statistic >= threshold" is
     preserved under boosting.
 
-    ``counts_transform(counts, rng)`` post-processes each side's counts
-    before the statistic (the flattening step plugs in here).
+    ``counts_transform(uids, counts, rng)`` post-processes each side's
+    count arrays before the statistic (the flattening step plugs in here).
     """
     if b <= 0 or not math.isfinite(b):
         raise InvalidInput(f"norm bound b must be positive and finite, got {b}")
@@ -283,19 +253,15 @@ def robust_l2_test(
     z_values = []
     used = 0
     for _ in range(repeats):
-        zs = []
+        sides = []
         for access in (p_access, q_access):
             n = int(rng.poisson(m))
             used += n
-            counts = _draw_counts(access, n, rng)
+            uids, counts = _draw_counts(access, n, rng)
             if counts_transform is not None:
-                counts = counts_transform(counts, rng)
-            zs.append(counts)
-        cp, cq = zs
-        if isinstance(cp, tuple) and isinstance(cq, tuple):
-            z_values.append(_z_from_arrays(*cp, *cq))
-        else:
-            z_values.append(l2_collision_statistic(cp, cq))
+                uids, counts = counts_transform(uids, counts, rng)
+            sides += [uids, counts]
+        z_values.append(_z_from_arrays(*sides))
     statistic = float(np.median(z_values))
     return TestVerdict(
         accept=statistic < threshold,
@@ -336,21 +302,10 @@ def flatten_closeness(
     m0 = max(1, min(s // 100, math.ceil(cap)))
     n_flat = int(rng.poisson(m0))
     n_from_p = int(rng.binomial(n_flat, 0.5)) if n_flat else 0
-    parts = [
-        p_access(n_from_p, rng),
-        q_access(n_flat - n_from_p, rng),
-    ]
-    if all(isinstance(part, np.ndarray) for part in parts):
-        flattening = np.concatenate(parts)
-    else:
-        flattening = [elem for part in parts for elem in part]
+    flattening = np.concatenate(
+        [p_access(n_from_p, rng), q_access(n_flat - n_from_p, rng)]
+    )
     split = build_split_map(flattening)
-
-    def transform(counts, inner_rng):
-        if isinstance(counts, tuple):
-            return split.split_counts_arrays(*counts, inner_rng)
-        return split.split_counts(counts, inner_rng)
-
     verdict = robust_l2_test(
         p_access,
         q_access,
@@ -359,6 +314,6 @@ def flatten_closeness(
         rng=rng,
         c_r=c_r,
         repeats=repeats,
-        counts_transform=transform,
+        counts_transform=split.split_counts_arrays,
     )
     return replace(verdict, samples_used=verdict.samples_used + n_flat)

@@ -32,19 +32,6 @@ class RectangleFamily:
         return len(self.rects)
 
 
-def support_disjoint(
-    rects: tuple[AxisRectangle, ...] | list[AxisRectangle], points: list[Point]
-) -> bool:
-    """Whether no support point lies in two of the rectangles."""
-    masks = [_cover_mask(r, points) for r in rects]
-    seen = 0
-    for mask in masks:
-        if seen & mask:
-            return False
-        seen |= mask
-    return True
-
-
 def _cover_mask(rect: AxisRectangle, points: list[Point]) -> int:
     mask = 0
     for i, pt in enumerate(points):

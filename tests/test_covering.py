@@ -1,9 +1,12 @@
 """Dyadic covering families over sample-point grids."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aktest import (
@@ -14,7 +17,6 @@ from aktest import (
     DiscreteGridDistribution,
     InvalidInput,
     SamplePointGrid,
-    build_cover,
     build_grid,
 )
 
@@ -275,4 +277,34 @@ def test_id_space_cap():
     with pytest.raises(InvalidInput):
         CoverFamily(SamplePointGrid([values] * 7))
     # five axes still fit in the int64 id space
-    build_cover(SamplePointGrid([values] * 5))
+    CoverFamily(SamplePointGrid([values] * 5))
+
+
+@functools.cache
+def cover_at(d, m):
+    return CoverFamily(SamplePointGrid([tuple(float(v) for v in range(m + 1))] * d))
+
+
+# (d, m) pairs near the 62-bit code cap: d * bit_length(2m - 2) is 62, 45, 60
+CAP_PAIRS = [(31, 2), (15, 4), (4, 2**14)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CAP_PAIRS), st.integers(0, 2**32 - 1))
+def test_encoded_ids_round_trip_at_the_code_cap(pair, seed):
+    d, m = pair
+    cover = cover_at(d, m)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, m, size=(4, d))
+    pts[0] = rng.integers(0, m + 1, size=d)  # grid values, the top one included
+    codes = cover.sample_ids_encoded(cover.gaps_of_points(pts), rng)
+    assert int(codes.max()) < 2**62
+    for pt, code in zip(pts, codes):
+        assert cover.decode_id(int(code)) in cover.containing_ids(pt)
+
+
+def test_code_cap_is_62_bits():
+    cover = cover_at(31, 2)
+    assert cover.dim * cover.per_axis_count.bit_length() == 62
+    with pytest.raises(InvalidInput):
+        cover_at(7, 256)  # 7 axes of 510 intervals need 63 bits

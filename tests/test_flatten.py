@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from aktest import (
-    CountVector,
     InvalidInput,
     SplitMap,
     build_split_map,
@@ -87,25 +86,6 @@ def test_split_l2_never_grows(multiset, weights):
     assert after <= before
 
 
-def test_split_sample_respects_multiplicity():
-    rng = np.random.default_rng(43)
-    split = build_split_map([7], domain_size=8)
-    assert all(split.split_sample(3, rng) == (3, 1) for _ in range(20))
-    second = sum(split.split_sample(7, rng) == (7, 2) for _ in range(10_000))
-    assert abs(second / 10_000 - 0.5) < 0.02
-
-
-def test_split_counts_preserve_totals():
-    rng = np.random.default_rng(47)
-    split = build_split_map([1, 1, 4], domain_size=6)
-    counts = {0: 5, 1: 30, 4: 12}
-    out = split.split_counts(counts, rng)
-    assert out[(0, 1)] == 5
-    for elem, c in counts.items():
-        assert sum(v for (e, _), v in out.items() if e == elem) == c
-    assert all(v > 0 for v in out.values())  # empty pieces are dropped
-
-
 def test_split_counts_arrays_encoding():
     rng = np.random.default_rng(53)
     split = build_split_map(np.array([1, 1, 4]), domain_size=6)
@@ -120,6 +100,24 @@ def test_split_counts_arrays_encoding():
         assert 1 <= piece <= split.a(elem)
         totals[elem] = totals.get(elem, 0) + int(c)
     assert totals == {0: 5, 1: 30, 4: 12}
+
+
+def test_split_counts_arrays_reject_code_overflow():
+    # 16 parts per element: uid * 16 + j wraps int64 for uid = 2**60
+    rng = np.random.default_rng(57)
+    split = build_split_map(np.array([2**60] * 15, dtype=np.int64))
+    assert split.max_parts == 16
+    counts = np.array([3, 4], dtype=np.int64)
+    with pytest.raises(InvalidInput):
+        split.split_counts_arrays(np.array([0, 2**60], dtype=np.int64), counts, rng)
+    with pytest.raises(InvalidInput):
+        split.split_counts_arrays(np.array([-(2**60), 0], dtype=np.int64), counts, rng)
+    # the largest uid whose pieces still fit: its last piece is 2**63 - 1
+    top = (2**63 - 16) // 16
+    split = build_split_map(np.array([top] * 15, dtype=np.int64))
+    out_u, out_c = split.split_counts_arrays(np.array([0, top], dtype=np.int64), counts, rng)
+    assert out_u[-1] == 2**63 - 1 and np.all(np.diff(out_u) > 0)
+    assert out_c.sum() == counts.sum()
 
 
 def split_totals(split, out_u, out_c):
@@ -187,12 +185,6 @@ def test_collision_statistic_hand_values():
     assert l2_collision_statistic({"a": 2}, {"b": 2}) == 4.0
     assert l2_collision_statistic({"a": 1, "b": 1}, {"a": 1, "b": 1}) == -4.0
     assert l2_collision_statistic({}, {}) == 0.0
-
-
-def test_collision_statistic_rejects_count_vector():
-    cv = CountVector.from_samples(["a"], ["b"])
-    with pytest.raises(InvalidInput):
-        l2_collision_statistic(cv, {"b": 1})
 
 
 def test_collision_statistic_unbiased():
