@@ -7,6 +7,7 @@ a failing verify suite), 2 for usage and parse errors.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import itertools
 import json
 import math
@@ -25,8 +26,11 @@ from .oracle import ak_distance_bruteforce
 from .tester import TesterConfig, ak_closeness_test, load_practical_constants
 from .verify import SUITES
 
-RESULTS_SCHEMA = "akr1"
-CSV_HEADER = "schema,trial,seed,family,k,d,eps,m,verdict,statistic,threshold,wall_ms"
+RESULTS_SCHEMA = "akr2"
+CSV_HEADER = (
+    "schema,trial,seed,family,k,d,eps,m,verdict,statistic,threshold,"
+    "samples_used,error,wall_ms"
+)
 
 
 def _config_from_flags(
@@ -187,19 +191,20 @@ def _run_trial(task: dict) -> dict:
         "seed": task["seed"],
         "family": task["family"],
         "k": task["k"],
-        "d": 2,
+        "d": "",
         "eps": task["eps"],
         "m": "",
         "verdict": "error",
         "statistic": "",
         "threshold": "",
         "wall_ms": "",
-        "samples_used": 0,
+        "samples_used": "",
         "error": "",
     }
     start = time.perf_counter()
     try:
         instance = make_instance(task["family"], task["k"], task["eps"], rng)
+        row["d"] = instance.d
         overrides = dict(task["constants"])
         overrides["budget_multiplier"] = task["budget_multiplier"]
         if task["mode"] == "practical":
@@ -212,7 +217,6 @@ def _run_trial(task: dict) -> dict:
             )
         result = ak_closeness_test(instance.p_access, instance.q_access, config, rng)
         row.update(
-            d=instance.d,
             m=result.budget,
             verdict=result.decision,
             statistic=result.statistic,
@@ -235,7 +239,9 @@ def cmd_experiment(config_file, out, trials, jobs):
 
     Sweep axes: family, k, eps, budget_multiplier (scalars or lists). Rows
     are deterministic given (config, seed) except the wall_ms column; jobs
-    only changes the schedule, never the rows.
+    only changes the schedule, never the rows. A trial that raises becomes
+    a verdict=error row carrying the exception text. An existing file is
+    only appended to when its header is this version's.
     """
     try:
         with open(config_file, "r", encoding="utf-8") as fh:
@@ -262,6 +268,15 @@ def cmd_experiment(config_file, out, trials, jobs):
         if n_trials < 1:
             raise InvalidInput("trial count must be >= 1")
         out_path = Path(out if out is not None else spec.get("out", "results.csv"))
+        is_new = not out_path.exists() or out_path.stat().st_size == 0
+        if not is_new:
+            with open(out_path, "r", encoding="utf-8", newline="") as fh:
+                header = fh.readline().rstrip("\r\n")
+            if header != CSV_HEADER:
+                raise InvalidInput(
+                    f"{out_path} starts with header {header!r}, not the"
+                    f" {RESULTS_SCHEMA} header {CSV_HEADER!r}; write to a new file"
+                )
         mode = spec.get("mode", "practical")
         if mode not in ("paper", "practical"):
             raise InvalidInput(f"mode must be paper or practical, got {mode!r}")
@@ -307,16 +322,13 @@ def cmd_experiment(config_file, out, trials, jobs):
         rows = [_run_trial(t) for t in tasks]
     rows.sort(key=lambda r: r["trial"])
 
-    fields = CSV_HEADER.split(",")
-    lines = []
-    for row in rows:
-        lines.append(",".join(str(row[f]) for f in fields))
-    is_new = not out_path.exists()
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "a", encoding="utf-8", newline="") as fh:
-            text = "\n".join(lines) + "\n"
-            fh.write(CSV_HEADER + "\n" + text if is_new else text)
+            writer = csv.DictWriter(fh, CSV_HEADER.split(","), lineterminator="\n")
+            if is_new:
+                writer.writeheader()
+            writer.writerows(rows)
         snapshot = out_path.with_name(out_path.name + ".config.json")
         with open(snapshot, "w", encoding="utf-8") as fh:
             json.dump(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Final, Sequence
 
 import numpy as np
@@ -67,6 +68,14 @@ class SamplePointGrid:
     @property
     def dim(self) -> int:
         return len(self.axis_values)
+
+    @cached_property
+    def axis_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only float64 copies of ``axis_values``, one per axis."""
+        arrays = tuple(np.array(ax, dtype=float) for ax in self.axis_values)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     @property
     def m(self) -> int:
@@ -190,7 +199,7 @@ class CoverFamily:
             raise InvalidInput("points must have shape (n, d)")
         gaps = np.empty(pts.shape, dtype=np.int64)
         for j in range(self.dim):
-            vals = np.asarray(self.grid.axis_values[j])
+            vals = self.grid.axis_arrays[j]
             e = np.searchsorted(vals, pts[:, j], side="right") - 1
             e[pts[:, j] == vals[-1]] = self.m - 1
             e[(pts[:, j] < vals[0]) | (pts[:, j] > vals[-1])] = -1

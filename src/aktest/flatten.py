@@ -76,28 +76,35 @@ def _z_from_arrays(
     return float(values @ values - 2 * cross - values.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitMap:
     """Elementwise split multiplicities from a flattening multiset.
 
     Element i is split into a_i = 1 + (occurrences of i in the multiset)
-    pieces; ``multiplicity`` stores only the elements that occurred. The sum
-    of a_i over a base domain of size n is n + |multiset|.
+    pieces. ``elements`` holds the sorted distinct elements that occurred
+    and ``counts`` their occurrences; ``multiplicity`` is the same map as a
+    dict, for ``a`` and ``pushforward``. The sum of a_i over a base domain
+    of size n is n + |multiset|.
     """
 
-    multiplicity: dict
+    elements: np.ndarray
+    counts: np.ndarray
     domain_size: int | None = None
+
+    @cached_property
+    def multiplicity(self) -> dict:
+        return dict(zip(self.elements.tolist(), self.counts.tolist()))
 
     def a(self, elem) -> int:
         return 1 + int(self.multiplicity.get(elem, 0))
 
     @property
     def flattening_size(self) -> int:
-        return int(sum(self.multiplicity.values()))
+        return int(self.counts.sum())
 
     @property
     def max_parts(self) -> int:
-        return 1 + (max(self.multiplicity.values()) if self.multiplicity else 0)
+        return 1 + (int(self.counts.max()) if len(self.counts) else 0)
 
     def split_domain_size(self) -> int | None:
         if self.domain_size is None:
@@ -151,10 +158,9 @@ class SplitMap:
                 f" with {parts} pieces per element"
             )
         codes = uids.astype(np.int64) * parts
-        keys, mult = self._split_arrays
-        pos = np.minimum(np.searchsorted(uids, keys), len(uids) - 1)
-        found = uids[pos] == keys
-        pos, a = pos[found], 1 + mult[found]
+        pos = np.minimum(np.searchsorted(uids, self.elements), len(uids) - 1)
+        found = uids[pos] == self.elements
+        pos, a = pos[found], 1 + self.counts[found]
         if not len(pos):
             return codes, counts
         left = counts[pos].astype(np.int64)
@@ -177,16 +183,6 @@ class SplitMap:
             np.insert(first, at, more),
         )
 
-    @cached_property
-    def _split_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted int64 codes of the multiset and their multiplicities."""
-        keys = np.fromiter(self.multiplicity, dtype=np.int64, count=len(self.multiplicity))
-        mult = np.fromiter(
-            self.multiplicity.values(), dtype=np.int64, count=len(self.multiplicity)
-        )
-        order = np.argsort(keys)
-        return keys[order], mult[order]
-
 
 def build_split_map(samples, domain_size: int | None = None) -> SplitMap:
     """Split map of a flattening multiset, a 1-d array-like of elements.
@@ -198,14 +194,16 @@ def build_split_map(samples, domain_size: int | None = None) -> SplitMap:
     if samples.ndim != 1:
         raise InvalidInput("a flattening multiset must be 1-d")
     uids, counts = np.unique(samples, return_counts=True)
-    mult = dict(zip(uids.tolist(), counts.tolist()))
     if domain_size is not None:
-        for elem in mult:
-            if not isinstance(elem, (int, np.integer)) or not 0 <= elem < domain_size:
-                raise InvalidInput(
-                    f"element {elem!r} outside the declared domain [0, {domain_size})"
-                )
-    return SplitMap(mult, domain_size)
+        outside = uids
+        if uids.dtype.kind in "iub":  # integer and bool codes
+            outside = uids[(uids < 0) | (uids >= domain_size)]
+        if len(outside):
+            raise InvalidInput(
+                f"element {outside[0].item()!r} outside the declared domain"
+                f" [0, {domain_size})"
+            )
+    return SplitMap(uids, counts.astype(np.int64), domain_size)
 
 
 def _draw_counts(

@@ -112,9 +112,8 @@ class SquareEdgeGadget:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n iid points, shape (n, 2)."""
-        centers = np.broadcast_to(np.asarray(self.center), (n, 2))
         codes = np.full(n, _variant_code(self.variant))
-        return _gadget_points(centers, self.radius, codes, rng)
+        return _gadget_points(self.center, self.radius, codes, rng)
 
 
 def _edge_fraction_in_rect(
@@ -141,23 +140,36 @@ def _variant_code(variant: str) -> int:
 
 
 def _gadget_points(
-    centers: np.ndarray, radius, codes: np.ndarray, rng: np.random.Generator
+    centers,
+    radius: float,
+    codes: np.ndarray,
+    rng: np.random.Generator,
+    comp: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized gadget sampling.
 
-    codes: 0 = T, 1 = R, 2 = MIX per point. Three rng draws of size n are
-    consumed regardless of the variant mix, keeping the stream shape
-    data-independent.
+    codes: 0 = T, 1 = R, 2 = MIX per point. centers is one center, or a
+    (c, 2) array of them that comp indexes per point. Three rng draws of
+    size n are consumed regardless of the variant mix, keeping the stream
+    shape data-independent.
+
+    A point is a + u * (b - a) on its edge [a, b]; a and b - a are tabled
+    once per (center, edge) and gathered per point.
     """
     n = len(codes)
     coin = rng.integers(2, size=n)
     hi_bit = rng.integers(2, size=n)
     u = rng.random(n)
-    edge = np.where(codes == 0, coin, np.where(codes == 1, 2 + coin, 2 * hi_bit + coin))
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), (n,))
-    a = centers + radius[:, None] * _DIR_A[edge]
-    b = centers + radius[:, None] * _DIR_B[edge]
-    return a + u[:, None] * (b - a)
+    edge = coin + 2 * np.where(codes == 2, hi_bit, codes)
+    if comp is not None:
+        edge += 4 * comp
+    centers = np.asarray(centers, dtype=float).reshape(-1, 1, 2)
+    a = (centers + radius * _DIR_A).reshape(-1, 2)
+    span = (centers + radius * _DIR_B).reshape(-1, 2) - a
+    out = np.take(span, edge, axis=0)
+    out *= u[:, None]
+    out += np.take(a, edge, axis=0)
+    return out
 
 
 # ---- order tuples ----------------------------------------------------------
@@ -246,46 +258,53 @@ def order_tuple_distribution_distance(
         raise InvalidInput(f"tuple size m must be in 1..8, got {m}")
     if trials < 1000:
         raise InvalidInput("need at least 1000 trials for a stable estimate")
-    centers = np.broadcast_to(np.asarray(center, dtype=float), (trials * m, 2))
-
     labels = rng.integers(2, size=(trials, m))  # 0 = P, 1 = Q
     yes_codes = np.full(trials * m, 2)
-    yes_pts = _gadget_points(centers, radius, yes_codes, rng).reshape(trials, m, 2)
+    yes_pts = _gadget_points(center, radius, yes_codes, rng).reshape(trials, m, 2)
     yes_cells = _encode_tuples(yes_pts, labels, m)
 
     labels2 = rng.integers(2, size=(trials, m))
     orient = rng.integers(2, size=(trials, 1))
     # orient 0: P draws T, Q draws R; orient 1: the swap.
     no_codes = (labels2 ^ orient).reshape(-1)
-    no_pts = _gadget_points(centers, radius, no_codes, rng).reshape(trials, m, 2)
+    no_pts = _gadget_points(center, radius, no_codes, rng).reshape(trials, m, 2)
     no_cells = _encode_tuples(no_pts, labels2, m)
-
-    union = np.union1d(yes_cells, no_cells)
-    c1 = np.zeros(len(union), dtype=np.int64)
-    c2 = np.zeros(len(union), dtype=np.int64)
-    uid, cnt = np.unique(yes_cells, return_counts=True)
-    c1[np.searchsorted(union, uid)] = cnt
-    uid, cnt = np.unique(no_cells, return_counts=True)
-    c2[np.searchsorted(union, uid)] = cnt
-    return _debiased_tv(c1, c2, trials, trials)
+    return _debiased_tv(*_cell_counts(yes_cells, no_cells), trials, trials)
 
 
 def _encode_tuples(pts: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
-    """Encode (sigma_x, sigma_y, labels) of each tuple as one int64."""
-    trials = pts.shape[0]
-    ranks = np.empty((trials, m, 2), dtype=np.int64)
-    seq = np.broadcast_to(np.arange(m, dtype=np.int64), (trials, m))
+    """Encode (sigma_x, sigma_y, labels) of each tuple as one int64.
+
+    sigma holds 0-based stable ranks: point i ranks above every earlier
+    point with a coordinate <= its own and every later point with a
+    smaller one, which is where a stable sort puts it.
+    """
+    code = np.zeros(pts.shape[0], dtype=np.int64)
     for axis in range(2):
-        order = np.argsort(pts[:, :, axis], axis=1)
-        np.put_along_axis(ranks[:, :, axis], order, seq, axis=1)
-    code = np.zeros(trials, dtype=np.int64)
+        cols = [np.ascontiguousarray(pts[:, t, axis]) for t in range(m)]
+        for i, xi in enumerate(cols):
+            code *= m
+            for j, xj in enumerate(cols):
+                if j < i:
+                    code += xj <= xi
+                elif j > i:
+                    code += xj < xi
     for t in range(m):
-        code = code * m + ranks[:, t, 0]
-    for t in range(m):
-        code = code * m + ranks[:, t, 1]
-    for t in range(m):
-        code = code * 2 + labels[:, t]
+        code *= 2
+        code += labels[:, t]
     return code
+
+
+def _cell_counts(
+    cells1: np.ndarray, cells2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell counts of two samples over the sorted union of their cells."""
+    union, inverse = np.unique(np.concatenate([cells1, cells2]), return_inverse=True)
+    split = len(cells1)
+    return (
+        np.bincount(inverse[:split], minlength=len(union)),
+        np.bincount(inverse[split:], minlength=len(union)),
+    )
 
 
 # ---- hard instances --------------------------------------------------------
@@ -357,7 +376,7 @@ class HardInstance:
             if n == 0:
                 return np.empty((0, 2))
             comp = rng.choice(len(weights), size=n, p=weights)
-            return _gadget_points(centers[comp], self.radius, codes[comp], rng)
+            return _gadget_points(centers, self.radius, codes[comp], rng, comp)
 
         return access
 
@@ -642,11 +661,4 @@ def obfuscation_tv(
         b2 = np.clip(np.searchsorted(edges, c2[:, j], side="right") - 1, 0, bins - 1)
         cells1 = cells1 * bins + b1
         cells2 = cells2 * bins + b2
-    union = np.union1d(cells1, cells2)
-    h1 = np.zeros(len(union), dtype=np.int64)
-    h2 = np.zeros(len(union), dtype=np.int64)
-    uid, cnt = np.unique(cells1, return_counts=True)
-    h1[np.searchsorted(union, uid)] = cnt
-    uid, cnt = np.unique(cells2, return_counts=True)
-    h2[np.searchsorted(union, uid)] = cnt
-    return _debiased_tv(h1, h2, n, n)
+    return _debiased_tv(*_cell_counts(cells1, cells2), n, n)

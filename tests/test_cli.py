@@ -1,9 +1,15 @@
 """The command line entry points, driven through click's test runner."""
 
+import csv
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aktest import DiscreteGridDistribution, save_distribution_spec
 from aktest.cli import main
@@ -102,6 +108,63 @@ def test_test_round_trip_accepts_generated_equal_pair(runner, tmp_path):
     assert report["samples_used"] >= report["batch_size"]
 
 
+# Strictly increasing on the lattice coordinates below, so equal
+# coordinates stay equal and distinct ones keep their order.
+MONOTONE_MAPS = [
+    lambda v: v,
+    lambda v: v**3 - 7.0,
+    lambda v: 2.0**v,
+    np.arctan,
+    lambda v: 1e6 + 0.25 * v,
+]
+
+
+def run_test_command(tmp_path, atoms, fx, fy, seed):
+    paths = []
+    for name, column in (("p", 2), ("q", 3)):
+        weights = {(fx(a[0]), fy(a[1])): a[column] for a in atoms if a[column]}
+        total = sum(weights.values())
+        dist = DiscreteGridDistribution.from_atoms(
+            {pt: w / total for pt, w in weights.items()}
+        )
+        path = tmp_path / f"{name}.json"
+        save_distribution_spec(dist, path, normalized=True)
+        paths.append(str(path))
+    result = CliRunner().invoke(
+        main, ["test", *paths, "--k", "4", "--eps", "1.0", "--seed", str(seed)]
+    )
+    assert result.exit_code in (0, 1), result.output
+    return result.exit_code, json.loads(result.output)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4)
+        ),
+        min_size=2,
+        max_size=6,
+        unique_by=lambda atom: atom[:2],
+    ),
+    st.sampled_from(MONOTONE_MAPS),
+    st.sampled_from(MONOTONE_MAPS),
+    st.integers(0, 2**16),
+)
+def test_tied_coordinates_keep_their_verdict_under_monotone_maps(
+    atoms, fx, fy, seed
+):
+    assume(any(a[2] for a in atoms) and any(a[3] for a in atoms))
+    assume(
+        len({a[0] for a in atoms}) < len(atoms)
+        or len({a[1] for a in atoms}) < len(atoms)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        plain = run_test_command(Path(tmp), atoms, lambda v: v, lambda v: v, seed)
+        warped = run_test_command(Path(tmp), atoms, fx, fy, seed)
+    assert warped == plain
+
+
 def test_test_rejects_dimension_mismatch(runner, tmp_path):
     p_path, _ = write_four_atoms(tmp_path)
     planar = DiscreteGridDistribution.from_atoms({(0.0, 0.0): 1.0})
@@ -151,7 +214,10 @@ def experiment_config(tmp_path, **overrides):
     return path
 
 
-HEADER = "schema,trial,seed,family,k,d,eps,m,verdict,statistic,threshold,wall_ms"
+HEADER = (
+    "schema,trial,seed,family,k,d,eps,m,verdict,statistic,threshold,"
+    "samples_used,error,wall_ms"
+)
 
 
 def test_experiment_writes_csv_and_sidecar(runner, tmp_path):
@@ -194,6 +260,38 @@ def test_experiment_appends_without_repeating_the_header(runner, tmp_path):
     lines = out.read_text().splitlines()
     assert lines.count(HEADER) == 1
     assert len(lines) == 1 + 8
+
+
+def test_experiment_error_rows_round_trip(runner, tmp_path):
+    # k=0 fails building the instance; k=4 builds it, then the negative
+    # constant fails the config. Both messages contain a comma.
+    config = experiment_config(
+        tmp_path, family="hist-far", k=[0, 4], trials=1, constants={"c_kappa": -1.0}
+    )
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "errors 1" in result.output
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["verdict"] for row in rows] == ["error", "error"]
+    assert {row["schema"] for row in rows} == {"akr2"}
+    assert rows[0]["d"] == "" and rows[1]["d"] == "2"
+    assert rows[0]["error"] == "InvalidInput: hist-far needs an even k >= 2, got 0"
+    assert rows[1]["error"] == "InvalidInput: c_kappa must be a positive real, got -1.0"
+    assert rows[0]["samples_used"] == rows[1]["samples_used"] == ""
+    assert all(float(row["wall_ms"]) >= 0 for row in rows)
+
+
+def test_experiment_refuses_a_file_with_another_header(runner, tmp_path):
+    config = experiment_config(tmp_path)
+    out = tmp_path / "results.csv"
+    old = "schema,trial,seed,family,k,d,eps,m,verdict,statistic,threshold,wall_ms\n"
+    out.write_text(old)
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "header" in result.output
+    assert out.read_text() == old
 
 
 def test_experiment_validates_its_config(runner, tmp_path):

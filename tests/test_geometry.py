@@ -18,6 +18,7 @@ from aktest import (
     rect_from_points,
     union_volume,
 )
+from aktest.verify import _carve_hits
 
 
 def test_rect_from_points_spans_both_orders():
@@ -97,6 +98,25 @@ def test_complement_carve_counts_and_volume(d, seed):
     assert len(pieces) <= 2 * d
     covered = sum(p.volume() for p in pieces) + inner.volume()
     assert covered == pytest.approx(outer.volume(), rel=1e-12)
+
+
+def test_carve_hits_match_scalar_containment():
+    # Half the probes sit on piece boundaries, where closed pieces overlap.
+    rng = np.random.default_rng(37)
+    for trial in range(300):
+        d = 1 + trial % 3
+        lo = rng.random(d)
+        hi = lo + 0.1 + rng.random(d)
+        inner = rect_from_points(
+            lo + rng.random(d) * (hi - lo), lo + rng.random(d) * (hi - lo)
+        )
+        rects = [inner, *decompose_complement(AxisRectangle(lo, hi), inner)]
+        probes = lo + rng.random((40, d)) * (hi - lo)
+        for j in range(d):
+            edges = [v for r in rects for v in (r.lo[j], r.hi[j])]
+            probes[::2, j] = rng.choice(edges, size=20)
+        scalar = [sum(r.contains(z) for r in rects) for z in probes]
+        assert _carve_hits(probes, rects).tolist() == scalar
 
 
 def test_is_generic():

@@ -25,6 +25,7 @@ from aktest.hardness import (
     VARIANT_T,
     SquareEdgeGadget,
     SquareSpec,
+    _encode_tuples,
     obfuscation_coords,
 )
 
@@ -175,6 +176,61 @@ def test_order_tuple_laws_match_then_split():
     assert abs(small.estimate) <= max(0.01, 3 * small.stderr)
     gap = order_tuple_distribution_distance(4, 50_000, rng)
     assert gap.estimate > 5 * gap.stderr
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_encode_tuples_matches_scalar_order_tuples(m):
+    rng = np.random.default_rng((43, m))
+    pts = rng.random((300, m, 2))
+    labels = rng.integers(2, size=(300, m))
+    expected = []
+    for row, tags in zip(pts, labels):
+        samples = [
+            LabeledSample(tuple(pt), Q_LABEL if tag else P_LABEL)
+            for pt, tag in zip(row, tags)
+        ]
+        ot = order_tuple(samples)
+        code = 0
+        for rank in ot.sigma_x + ot.sigma_y:
+            code = code * m + rank - 1
+        for label in ot.labels:
+            code = code * 2 + (label == Q_LABEL)
+        expected.append(code)
+    assert _encode_tuples(pts, labels, m).tolist() == expected
+
+
+def test_encode_tuples_ranks_ties_stably():
+    rng = np.random.default_rng(47)
+    m = 5
+    pts = rng.integers(0, 3, size=(500, m, 2)).astype(float)
+    labels = np.zeros((500, m), dtype=np.int64)
+    ranks = np.empty((500, m, 2), dtype=np.int64)
+    for axis in range(2):
+        order = np.argsort(pts[:, :, axis], axis=1, kind="stable")
+        np.put_along_axis(ranks[:, :, axis], order, np.arange(m)[None, :], axis=1)
+    expected = np.zeros(500, dtype=np.int64)
+    for rank in np.moveaxis(ranks, 2, 1).reshape(500, 2 * m).T:
+        expected = expected * m + rank
+    expected <<= m  # all labels 0
+    assert np.array_equal(_encode_tuples(pts, labels, m), expected)
+
+
+def test_hard_instance_sampler_matches_per_point_formula():
+    inst = gen_hard_instance(32, 2, 1.0, False, np.random.default_rng(53))
+    for side in ("p", "q"):
+        got = inst.sampler(side)(500, np.random.default_rng((59, side == "q")))
+        rng = np.random.default_rng((59, side == "q"))
+        masses = np.array([sq.mass for sq in inst.squares])
+        comp = rng.choice(len(masses), size=500, p=masses / masses.sum())
+        coin = rng.integers(2, size=500)
+        hi_bit = rng.integers(2, size=500)
+        u = rng.random(500)
+        for i, sq_index in enumerate(comp):
+            edges = inst.gadget(inst.squares[sq_index], side).edges()
+            pick = coin[i] if len(edges) == 2 else 2 * hi_bit[i] + coin[i]
+            _, a, b, _ = edges[pick]
+            want = [a[j] + u[i] * (b[j] - a[j]) for j in range(2)]
+            assert got[i].tolist() == want
 
 
 def test_gen_hard_instance_validation():
