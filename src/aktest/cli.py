@@ -1,7 +1,8 @@
 """Command-line surface: test, oracle, gen-hard, experiment, verify.
 
 Exit codes follow the convention: 0 for accept/success, 1 for reject (or
-a failing verify suite), 2 for usage and parse errors.
+a failing verify suite, or an experiment with error rows), 2 for usage
+and parse errors.
 """
 
 from __future__ import annotations
@@ -33,15 +34,10 @@ CSV_HEADER = (
 )
 
 
-def _config_from_flags(
-    k: int, d: int, eps: float, mode: str, constants: str | None, seed: int, **extra
-) -> TesterConfig:
-    overrides = dict(extra)
-    if constants is not None:
-        overrides = {**load_practical_constants(constants), **overrides}
+def _make_config(k: int, d: int, eps: float, mode: str, **overrides) -> TesterConfig:
     if mode == "practical":
-        return TesterConfig.practical(k, d, eps, seed=seed, **overrides)
-    return TesterConfig.paper(k, d, eps, seed=seed, **overrides)
+        return TesterConfig.practical(k, d, eps, **overrides)
+    return TesterConfig.paper(k, d, eps, **overrides)
 
 
 def _usage(err: Exception) -> click.UsageError:
@@ -81,7 +77,8 @@ def cmd_test(p_spec, q_spec, k, eps, seed, mode, constants):
                 f"dimension mismatch: {p_spec} is {p.dim}-dimensional, "
                 f"{q_spec} is {q.dim}-dimensional"
             )
-        config = _config_from_flags(k, p.dim, eps, mode, constants, seed)
+        overrides = {} if constants is None else load_practical_constants(constants)
+        config = _make_config(k, p.dim, eps, mode, seed=seed, **overrides)
         result = ak_closeness_test(p.sample, q.sample, config)
     except InvalidInput as err:
         raise _usage(err) from err
@@ -185,36 +182,22 @@ def _as_list(value) -> list:
 def _run_trial(task: dict) -> dict:
     """One experiment trial; module-level so worker processes can load it."""
     rng = np.random.default_rng((task["seed"], task["trial"]))
-    row = {
-        "schema": RESULTS_SCHEMA,
-        "trial": task["trial"],
-        "seed": task["seed"],
-        "family": task["family"],
-        "k": task["k"],
-        "d": "",
-        "eps": task["eps"],
-        "m": "",
-        "verdict": "error",
-        "statistic": "",
-        "threshold": "",
-        "wall_ms": "",
-        "samples_used": "",
-        "error": "",
-    }
+    row = dict.fromkeys(CSV_HEADER.split(","), "")
+    row.update(
+        {key: task[key] for key in ("schema", "trial", "seed", "family", "k", "eps")},
+        verdict="error",
+    )
     start = time.perf_counter()
     try:
         instance = make_instance(task["family"], task["k"], task["eps"], rng)
         row["d"] = instance.d
-        overrides = dict(task["constants"])
-        overrides["budget_multiplier"] = task["budget_multiplier"]
-        if task["mode"] == "practical":
-            config = TesterConfig.practical(
-                task["k"], instance.d, task["eps"], **overrides
-            )
-        else:
-            config = TesterConfig.paper(
-                task["k"], instance.d, task["eps"], **overrides
-            )
+        config = _make_config(
+            task["k"],
+            instance.d,
+            task["eps"],
+            task["mode"],
+            **{**task["constants"], "budget_multiplier": task["budget_multiplier"]},
+        )
         result = ak_closeness_test(instance.p_access, instance.q_access, config, rng)
         row.update(
             m=result.budget,
@@ -240,8 +223,9 @@ def cmd_experiment(config_file, out, trials, jobs):
     Sweep axes: family, k, eps, budget_multiplier (scalars or lists). Rows
     are deterministic given (config, seed) except the wall_ms column; jobs
     only changes the schedule, never the rows. A trial that raises becomes
-    a verdict=error row carrying the exception text. An existing file is
-    only appended to when its header is this version's.
+    a verdict=error row carrying the exception text; the sweep still
+    writes every row, the sidecar and the summary, then exits 1. An
+    existing file is only appended to when its header is this version's.
     """
     try:
         with open(config_file, "r", encoding="utf-8") as fh:
@@ -361,6 +345,7 @@ def cmd_experiment(config_file, out, trials, jobs):
     click.echo(f"rows appended to {out_path}")
     if failures:
         click.echo(f"warning: {failures} error rows", err=True)
+        sys.exit(1)
 
 
 @main.command("verify")

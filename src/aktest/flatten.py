@@ -34,7 +34,6 @@ class TestVerdict:
     statistic: float
     threshold: float
     samples_used: int
-    kappa: float | None = None
 
     @property
     def decision(self) -> str:

@@ -11,7 +11,7 @@ pairs built from them hard to tell apart from few samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,8 @@ from .oracle import RectangleFamily
 VARIANT_T = "T"
 VARIANT_R = "R"
 VARIANT_MIX = "MIX"
+# A variant's position here is its code in _gadget_points.
+_VARIANTS = (VARIANT_T, VARIANT_R, VARIANT_MIX)
 
 _EDGE_NAMES = ("UL", "LR", "LL", "UR")
 # Unit offsets of each edge's endpoints from the center: UL runs from the
@@ -112,7 +114,7 @@ class SquareEdgeGadget:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n iid points, shape (n, 2)."""
-        codes = np.full(n, _variant_code(self.variant))
+        codes = np.full(n, _VARIANTS.index(self.variant))
         return _gadget_points(self.center, self.radius, codes, rng)
 
 
@@ -135,10 +137,6 @@ def _edge_fraction_in_rect(
     return max(0.0, u_hi - u_lo)
 
 
-def _variant_code(variant: str) -> int:
-    return {VARIANT_T: 0, VARIANT_R: 1, VARIANT_MIX: 2}[variant]
-
-
 def _gadget_points(
     centers,
     radius: float,
@@ -148,10 +146,10 @@ def _gadget_points(
 ) -> np.ndarray:
     """Vectorized gadget sampling.
 
-    codes: 0 = T, 1 = R, 2 = MIX per point. centers is one center, or a
-    (c, 2) array of them that comp indexes per point. Three rng draws of
-    size n are consumed regardless of the variant mix, keeping the stream
-    shape data-independent.
+    codes: each point's variant as its index in _VARIANTS. centers is one
+    center, or a (c, 2) array of them that comp indexes per point. Three rng
+    draws of size n are consumed regardless of the variant mix, keeping the
+    stream shape data-independent.
 
     A point is a + u * (b - a) on its edge [a, b]; a and b - a are tabled
     once per (center, edge) and gathered per point.
@@ -238,13 +236,13 @@ def _debiased_tv(
     return TvEstimate(estimate=estimate, stderr=stderr, raw=raw, cells=len(f1))
 
 
+# Both order-tuple worlds draw from the diamond inscribed in the unit square.
+_TUPLE_CENTER = (0.5, 0.5)
+_TUPLE_RADIUS = 0.5
+
+
 def order_tuple_distribution_distance(
-    m: int,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    center: tuple[float, float] = (0.5, 0.5),
-    radius: float = 0.5,
+    m: int, trials: int, rng: np.random.Generator
 ) -> TvEstimate:
     """Monte-Carlo TV between order-tuple laws of the two worlds.
 
@@ -260,14 +258,16 @@ def order_tuple_distribution_distance(
         raise InvalidInput("need at least 1000 trials for a stable estimate")
     labels = rng.integers(2, size=(trials, m))  # 0 = P, 1 = Q
     yes_codes = np.full(trials * m, 2)
-    yes_pts = _gadget_points(center, radius, yes_codes, rng).reshape(trials, m, 2)
+    yes_pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, yes_codes, rng)
+    yes_pts = yes_pts.reshape(trials, m, 2)
     yes_cells = _encode_tuples(yes_pts, labels, m)
 
     labels2 = rng.integers(2, size=(trials, m))
     orient = rng.integers(2, size=(trials, 1))
     # orient 0: P draws T, Q draws R; orient 1: the swap.
     no_codes = (labels2 ^ orient).reshape(-1)
-    no_pts = _gadget_points(center, radius, no_codes, rng).reshape(trials, m, 2)
+    no_pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, no_codes, rng)
+    no_pts = no_pts.reshape(trials, m, 2)
     no_cells = _encode_tuples(no_pts, labels2, m)
     return _debiased_tv(*_cell_counts(yes_cells, no_cells), trials, trials)
 
@@ -343,33 +343,26 @@ class HardInstance:
     def radius(self) -> float:
         return 0.5 / self.r
 
-    def gadget(self, square: SquareSpec, side: str) -> SquareEdgeGadget:
+    def center(self, square: SquareSpec) -> tuple[float, float]:
         c = (square.index + 0.5) / self.r
+        return (c, c)
+
+    def gadget(self, square: SquareSpec, side: str) -> SquareEdgeGadget:
         variant = square.p_variant if side == "p" else square.q_variant
-        return SquareEdgeGadget((c, c), self.radius, variant)
+        return SquareEdgeGadget(self.center(square), self.radius, variant)
 
     @property
     def total_mass(self) -> float:
         return float(sum(sq.mass for sq in self.squares))
 
-    def _side_arrays(self, side: str):
-        centers = np.array(
-            [[(sq.index + 0.5) / self.r] * 2 for sq in self.squares], dtype=float
-        )
-        codes = np.array(
-            [
-                _variant_code(sq.p_variant if side == "p" else sq.q_variant)
-                for sq in self.squares
-            ]
-        )
-        masses = np.array([sq.mass for sq in self.squares], dtype=float)
-        return centers, codes, masses
-
     def sampler(self, side: str):
         """A sample access drawing iid points from this side, normalized."""
         if side not in ("p", "q"):
             raise InvalidInput("side must be 'p' or 'q'")
-        centers, codes, masses = self._side_arrays(side)
+        gadgets = [self.gadget(sq, side) for sq in self.squares]
+        centers = np.array([g.center for g in gadgets])
+        codes = np.array([_VARIANTS.index(g.variant) for g in gadgets])
+        masses = np.array([sq.mass for sq in self.squares], dtype=float)
         weights = masses / masses.sum()
 
         def access(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -385,9 +378,6 @@ class HardInstance:
         n = int(rng.poisson(budget * self.total_mass))
         return self.sampler(side)(n, rng)
 
-    def light_squares(self) -> list[SquareSpec]:
-        return [sq for sq in self.squares if not sq.heavy]
-
     def ak_lower_bound(self) -> tuple[float, RectangleFamily]:
         """Certified A_k discrepancy of the normalized pair.
 
@@ -397,26 +387,20 @@ class HardInstance:
         counted, which keeps the bound valid for any k. Zero in the equal
         case.
         """
+        oriented = [
+            sq for sq in self.squares if not sq.heavy and sq.p_variant != sq.q_variant
+        ]
         rects: list[AxisRectangle] = []
         total = 0.0
-        budget = self.k // 4
-        for sq in self.light_squares():
-            if sq.p_variant == sq.q_variant:
-                continue
-            if budget == 0:
-                break
-            budget -= 1
-            c = (sq.index + 0.5) / self.r
-            rad = self.radius
+        for sq in oriented[: self.k // 4]:
+            cx, cy = self.center(sq)
             gp = self.gadget(sq, "p")
             gq = self.gadget(sq, "q")
-            for lo, hi in (
-                ((c - rad, c), (c, c + rad)),  # upper-left quadrant
-                ((c, c), (c + rad, c + rad)),  # upper-right
-                ((c - rad, c - rad), (c, c)),  # lower-left
-                ((c, c - rad), (c + rad, c)),  # lower-right
-            ):
-                box = AxisRectangle(lo, hi)
+            for quadrant in (4, 1, 2, 3):  # UL, UR, LL, LR
+                sx, sy = _QUADRANT_SIGNS[quadrant]
+                xs = sorted((cx, cx + sx * self.radius))
+                ys = sorted((cy, cy + sy * self.radius))
+                box = AxisRectangle((xs[0], ys[0]), (xs[1], ys[1]))
                 diff = abs(gp.rect_mass(box) - gq.rect_mass(box)) * sq.mass
                 if diff > 0:
                     rects.append(box)
@@ -439,28 +423,19 @@ class HardInstance:
         if c < 2 or c % 2:
             raise InvalidInput("cells_per_square must be an even number >= 2")
         denom = self.r * c
+        half = c // 2
         atoms_p: dict[tuple[int, int], float] = {}
         atoms_q: dict[tuple[int, int], float] = {}
         for sq in self.squares:
-            base = sq.index * c
-            mid = base + c // 2
-            anchors = {  # lattice coordinates of each edge's left endpoint
-                "UL": (base, mid),
-                "LR": (mid, base),
-                "LL": (base, mid),
-                "UR": (mid, base + c),
-            }
-            slopes = {"UL": 1, "LR": 1, "LL": -1, "UR": -1}
+            mid = sq.index * c + half  # lattice coordinate of the center, both axes
             for side, atoms in (("p", atoms_p), ("q", atoms_q)):
-                gadget = self.gadget(sq, side)
-                for name, _, _, w in gadget.edges():
-                    cell_mass = sq.mass * w / (c // 2)
-                    ax, ay = anchors[name]
-                    slope = slopes[name]
-                    for t in range(c // 2):
-                        ix = ax + t
-                        iy = ay + t + 1 if slope > 0 else ay - t
-                        key = (ix, iy)
+                edges = _VARIANT_EDGES[self.gadget(sq, side).variant]
+                cell_mass = sq.mass * (1.0 / len(edges)) / half
+                for e in edges:
+                    x0, y0 = (int(v) for v in mid + half * _DIR_A[e])
+                    rising = _DIR_B[e][1] > _DIR_A[e][1]
+                    for t in range(half):
+                        key = (x0 + t, y0 + t + 1 if rising else y0 - t)
                         atoms[key] = atoms.get(key, 0.0) + cell_mass
         def to_dist(atoms: dict[tuple[int, int], float]) -> DiscreteGridDistribution:
             return DiscreteGridDistribution.from_atoms(
@@ -474,18 +449,12 @@ class HardInstance:
             "r": self.r,
             "cells_per_square": c,
             "total_mass": self.total_mass,
-            "squares": [
-                {
-                    "index": sq.index,
-                    "heavy": sq.heavy,
-                    "p_variant": sq.p_variant,
-                    "q_variant": sq.q_variant,
-                    "mass": sq.mass,
-                }
-                for sq in self.squares
-            ],
+            "squares": [asdict(sq) for sq in self.squares],
         }
         return to_dist(atoms_p), to_dist(atoms_q), meta
+
+
+_SQUARE_FRACTION = 0.125  # diagonal squares per unit of k
 
 
 def gen_hard_instance(
@@ -494,10 +463,8 @@ def gen_hard_instance(
     eps: float,
     equal_case: bool,
     rng: np.random.Generator,
-    *,
-    square_fraction: float = 0.125,
 ) -> HardInstance:
-    """Draw a hard instance with r = ceil(square_fraction * k) squares.
+    """Draw a hard instance with r = ceil(k / 8) squares.
 
     Requires m < k/2 so heavy squares stay a minority and the light-square
     witness family (four rectangles each) fits within k rectangles.
@@ -508,7 +475,7 @@ def gen_hard_instance(
         raise InvalidInput(f"eps must be in (0, 1], got {eps}")
     if not m < k / 2:
         raise InvalidInput(f"need m < k/2 for a valid instance, got m={m} k={k}")
-    r = math.ceil(square_fraction * k)
+    r = math.ceil(_SQUARE_FRACTION * k)
     squares = []
     for i in range(r):
         heavy = bool(rng.random() < m / k)
@@ -634,18 +601,19 @@ def obfuscation_coords(
     return coords
 
 
+_OBFUSCATION_BINS = 8  # per coordinate
+
+
 def obfuscation_tv(
     scale: float,
     triple_one: tuple[float, float, float],
     triple_two: tuple[float, float, float],
     n: int,
     rng: np.random.Generator,
-    *,
-    bins: int = 8,
 ) -> TvEstimate:
     """Binned TV between the coordinate laws of two triples at one scale.
 
-    The joint (log log A, log B, log C) histogram over bins^3 cells (edges
+    The joint (log log A, log B, log C) histogram over 8^3 cells (edges
     from the pooled per-coordinate ranges) feeds the debiased TV estimator.
     Larger scales obfuscate harder, so the estimate shrinks as W grows.
     """
@@ -654,6 +622,7 @@ def obfuscation_tv(
     pooled = np.vstack([c1, c2])
     cells1 = np.zeros(len(c1), dtype=np.int64)
     cells2 = np.zeros(len(c2), dtype=np.int64)
+    bins = _OBFUSCATION_BINS
     for j in range(3):
         lo, hi = pooled[:, j].min(), pooled[:, j].max()
         edges = np.linspace(lo, hi, bins + 1)

@@ -297,9 +297,14 @@ class LadderLookup:
         return left
 
 
-def _check_finite(pts: np.ndarray, what: str) -> None:
+def _draw(access: PointAccess, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n points from an access, checked to be an (n, d) array of finite values."""
+    pts = np.asarray(access(n, rng), dtype=float)
+    if pts.shape != (n, d):
+        raise InvalidInput(f"access must return shape {(n, d)}, got {pts.shape}")
     if not np.isfinite(pts).all():
-        raise InvalidInput(f"{what} returned non-finite coordinates")
+        raise InvalidInput("access returned non-finite coordinates")
+    return pts
 
 
 def _encoded_access(
@@ -318,12 +323,7 @@ def _encoded_access(
     top_gap = cover.m - 1
 
     def access(n: int, rng: np.random.Generator) -> np.ndarray:
-        pts = np.asarray(side_access(n, rng), dtype=float)
-        if pts.shape != (n, d):
-            raise InvalidInput(
-                f"access returned shape {pts.shape}, expected {(n, d)}"
-            )
-        _check_finite(pts, "access")
+        pts = _draw(side_access, n, d, rng)
         gaps = np.empty((d, n), dtype=np.int64).T  # contiguous columns
         for j, (lookup, x) in enumerate(zip(lookups, np.ascontiguousarray(pts.T))):
             gap = lookup.positions(x, rng) - 1
@@ -360,15 +360,7 @@ def ak_closeness_test(
     d = config.d
     n_p = int(rng.poisson(m / 2.0))
     n_q = int(rng.poisson(m / 2.0))
-    pts_p = np.asarray(p_access(n_p, rng), dtype=float)
-    pts_q = np.asarray(q_access(n_q, rng), dtype=float)
-    if pts_p.shape != (n_p, d) or pts_q.shape != (n_q, d):
-        raise InvalidInput(
-            f"accesses must return (n, {d}) arrays, got {pts_p.shape} "
-            f"and {pts_q.shape}"
-        )
-    batch = np.vstack([pts_p, pts_q])
-    _check_finite(batch, "the batch access")
+    batch = np.vstack([_draw(p_access, n_p, d, rng), _draw(q_access, n_q, d, rng)])
     n = len(batch)
     if n == 0:
         raise InvalidInput(

@@ -270,8 +270,9 @@ def test_experiment_error_rows_round_trip(runner, tmp_path):
     )
     out = tmp_path / "results.csv"
     result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 1, result.output
     assert "errors 1" in result.output
+    assert (tmp_path / "results.csv.config.json").exists()
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["verdict"] for row in rows] == ["error", "error"]

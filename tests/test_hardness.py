@@ -363,6 +363,37 @@ def test_to_distributions_validates_cell_count():
         inst.to_distributions(cells_per_square=0)
 
 
+@pytest.mark.parametrize(
+    "inst, cells",
+    [
+        (one_light_instance(), 2),
+        (gen_hard_instance(16, 1, 1.0, False, np.random.default_rng(29)), 4),
+        (gen_hard_instance(32, 3, 0.5, False, np.random.default_rng(31)), 6),
+        (gen_hard_instance(24, 2, 0.5, True, np.random.default_rng(37)), 8),
+    ],
+)
+def test_lattice_rounding_is_the_pushforward_of_the_sampler(inst, cells):
+    # Snapping each sampled point to its cell's top-left lattice vertex must
+    # hit exactly the atoms of to_distributions, at their normalized masses.
+    n = 100_000
+    denom = inst.r * cells
+    for side, dist in zip(("p", "q"), inst.to_distributions(cells)[:2]):
+        pts = inst.sampler(side)(n, np.random.default_rng((41, cells, side == "q")))
+        snapped = np.column_stack(
+            [np.floor(pts[:, 0] * denom), np.ceil(pts[:, 1] * denom)]
+        ).astype(np.int64)
+        cells_hit, counts = np.unique(snapped, axis=0, return_counts=True)
+        atoms = {
+            tuple(round(v * denom) for v in dist.point_of(idx)): w
+            for idx, w in dist.mass.items()
+        }
+        assert set(map(tuple, cells_hit.tolist())) == set(atoms)
+        prob = np.array([atoms[tuple(cell)] for cell in cells_hit.tolist()])
+        prob /= dist.total_mass
+        z = (counts - n * prob) / np.sqrt(n * prob * (1 - prob))
+        assert np.abs(z).max() <= 6.0
+
+
 def test_monotone_map_closed_form():
     f = MonotoneMap(lam1=0.0, lam2=1.0, log_lam3=math.log(2.0), scale=20.0)
     # f(x) = exp(x e^0 + 1) + 2
