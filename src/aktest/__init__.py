@@ -14,15 +14,11 @@ from .covering import (
     EMPTY_CODE,
     CoverFamily,
     SamplePointGrid,
-    build_grid,
 )
 from .distributions import (
     DiscreteGridDistribution,
     LabeledSample,
-    RankedSampleSet,
     load_distribution_spec,
-    mixture_half,
-    rank_transform,
     sample_poisson,
     save_distribution_spec,
 )
@@ -44,7 +40,6 @@ from .geometry import (
     find_dominating_triple,
     is_generic,
     rect_from_points,
-    union_volume,
 )
 from .hardness import (
     HardInstance,
@@ -63,9 +58,7 @@ from .oracle import (
     ak_distance_1d,
     ak_distance_bruteforce,
     constant_mass_bound,
-    discrepancy_density,
     expected_pair_mass,
-    random_pair_discrepancy,
 )
 from .tester import (
     AkTestResult,
@@ -98,7 +91,6 @@ __all__ = [
     "MonotoneMap",
     "OrderTuple",
     "PointSet",
-    "RankedSampleSet",
     "RectangleFamily",
     "SamplePointGrid",
     "SplitMap",
@@ -109,12 +101,10 @@ __all__ = [
     "ak_closeness_test",
     "ak_distance_1d",
     "ak_distance_bruteforce",
-    "build_grid",
     "build_split_map",
     "consistency_satisfied",
     "constant_mass_bound",
     "decompose_complement",
-    "discrepancy_density",
     "erdos_szekeres_threshold",
     "expected_pair_mass",
     "find_dominating_triple",
@@ -128,12 +118,9 @@ __all__ = [
     "load_distribution_spec",
     "load_practical_constants",
     "make_instance",
-    "mixture_half",
     "obfuscation_tv",
     "order_tuple",
     "order_tuple_distribution_distance",
-    "random_pair_discrepancy",
-    "rank_transform",
     "rect_from_points",
     "robust_l2_test",
     "sample_budget",
@@ -141,5 +128,4 @@ __all__ = [
     "sample_poisson",
     "save_distribution_spec",
     "tv_histogram_test",
-    "union_volume",
 ]

@@ -24,7 +24,12 @@ from .errors import InvalidInput
 from .families import FAMILY_NAMES, make_instance
 from .hardness import gen_hard_instance
 from .oracle import ak_distance_bruteforce
-from .tester import TesterConfig, ak_closeness_test, load_practical_constants
+from .tester import (
+    TesterConfig,
+    ak_closeness_test,
+    check_constants,
+    load_practical_constants,
+)
 from .verify import SUITES
 
 RESULTS_SCHEMA = "akr2"
@@ -80,7 +85,7 @@ def cmd_test(p_spec, q_spec, k, eps, seed, mode, constants):
         overrides = {} if constants is None else load_practical_constants(constants)
         config = _make_config(k, p.dim, eps, mode, seed=seed, **overrides)
         result = ak_closeness_test(p.sample, q.sample, config)
-    except InvalidInput as err:
+    except (InvalidInput, json.JSONDecodeError) as err:
         raise _usage(err) from err
     click.echo(
         json.dumps(
@@ -220,8 +225,9 @@ def _run_trial(task: dict) -> dict:
 def cmd_experiment(config_file, out, trials, jobs):
     """Run a seeded trial sweep from a JSON config and append a results CSV.
 
-    Sweep axes: family, k, eps, budget_multiplier (scalars or lists). Rows
-    are deterministic given (config, seed) except the wall_ms column; jobs
+    Sweep axes: family, k, eps, budget_multiplier (scalars or lists); the
+    constants object is checked like `test --constants`. Rows are
+    deterministic given (config, seed) except the wall_ms column; jobs
     only changes the schedule, never the rows. A trial that raises becomes
     a verdict=error row carrying the exception text; the sweep still
     writes every row, the sidecar and the summary, then exits 1. An
@@ -261,6 +267,7 @@ def cmd_experiment(config_file, out, trials, jobs):
                     f"{out_path} starts with header {header!r}, not the"
                     f" {RESULTS_SCHEMA} header {CSV_HEADER!r}; write to a new file"
                 )
+        constants = check_constants(spec.get("constants", {}))
         mode = spec.get("mode", "practical")
         if mode not in ("paper", "practical"):
             raise InvalidInput(f"mode must be paper or practical, got {mode!r}")
@@ -294,7 +301,7 @@ def cmd_experiment(config_file, out, trials, jobs):
                     "eps": float(eps),
                     "budget_multiplier": float(mult),
                     "mode": mode,
-                    "constants": dict(spec.get("constants", {})),
+                    "constants": constants,
                 }
             )
             trial += 1

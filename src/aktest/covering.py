@@ -87,24 +87,6 @@ class SamplePointGrid:
         return (self.m).bit_length() - 1
 
 
-def build_grid(points: Sequence[Sequence[float]]) -> SamplePointGrid:
-    """Grid of a generic point set with (power of two) + 1 points.
-
-    Genericity (no shared coordinate per axis) is a precondition and is
-    validated here, since the construction is meaningless without it.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 3:
-        raise InvalidInput("need at least 3 points in (n, d) layout")
-    axes = []
-    for j in range(pts.shape[1]):
-        vals = np.sort(pts[:, j])
-        if len(np.unique(vals)) != len(vals):
-            raise InvalidInput(f"points share a coordinate on axis {j} (not generic)")
-        axes.append(tuple(vals))
-    return SamplePointGrid(axes)
-
-
 @dataclass(frozen=True)
 class CoverFamily:
     """The dyadic covering family of a sample-point grid."""
@@ -232,17 +214,7 @@ class CoverFamily:
                     count += 1
         return count
 
-    # ---- induced outcomes and distributions ------------------------------
-
-    def induced_outcome(
-        self, z: Sequence[float], rng: np.random.Generator
-    ):
-        """One draw of the induced map: EMPTY outside the span, else a
-        uniformly random containing family rectangle id."""
-        ids = self.containing_ids(z)
-        if not ids:
-            return EMPTY
-        return ids[int(rng.integers(len(ids)))]
+    # ---- induced distribution ----------------------------------------------
 
     def induced_distribution(
         self, dist: DiscreteGridDistribution

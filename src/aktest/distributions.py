@@ -1,4 +1,4 @@
-"""Discrete grid-supported measures, labeled samples, and the rank transform.
+"""Discrete grid-supported measures, Poissonized sampling, and labeled samples.
 
 A DiscreteGridDistribution is a nonnegative measure on a finite product grid:
 per-axis sorted coordinate arrays plus a sparse map from index tuples to mass.
@@ -123,20 +123,6 @@ class DiscreteGridDistribution:
         return pts[idx]
 
 
-def mixture_half(
-    p: DiscreteGridDistribution, q: DiscreteGridDistribution
-) -> DiscreteGridDistribution:
-    """The measure (p + q) / 2 on the union grid, matching atoms by coordinates."""
-    if p.dim != q.dim:
-        raise InvalidInput("mixture of distributions with different dimensions")
-    atoms: dict[Point, float] = {}
-    for dist in (p, q):
-        for idx, w in dist.mass.items():
-            pt = dist.point_of(idx)
-            atoms[pt] = atoms.get(pt, 0.0) + 0.5 * w
-    return DiscreteGridDistribution.from_atoms(atoms)
-
-
 def sample_poisson(
     dist: DiscreteGridDistribution, m: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -158,71 +144,6 @@ class LabeledSample:
         if self.label not in (P_LABEL, Q_LABEL):
             raise InvalidInput(f"label must be {P_LABEL!r} or {Q_LABEL!r}")
         object.__setattr__(self, "point", tuple(float(v) for v in self.point))
-
-
-@dataclass(frozen=True)
-class RankedSampleSet:
-    """Samples with coordinates replaced by per-axis ranks 1..m.
-
-    Per axis, the coordinates are exactly a permutation of 1..m (validated),
-    so the point set is generic by construction. ``provenance`` records the
-    tie-breaking seed when the caller has one.
-    """
-
-    samples: tuple[LabeledSample, ...]
-    provenance: int | None = None
-
-    def __post_init__(self):
-        m = len(self.samples)
-        if m == 0:
-            raise InvalidInput("empty ranked sample set")
-        d = len(self.samples[0].point)
-        for j in range(d):
-            coords = sorted(s.point[j] for s in self.samples)
-            if coords != [float(r) for r in range(1, m + 1)]:
-                raise InvalidInput(f"axis {j} ranks are not a permutation of 1..{m}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.samples[0].point)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def points(self) -> np.ndarray:
-        return np.array([s.point for s in self.samples], dtype=float)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.samples)
-
-
-def rank_transform(
-    samples: Sequence[LabeledSample],
-    rng: np.random.Generator,
-    provenance: int | None = None,
-) -> RankedSampleSet:
-    """Replace coordinates by per-axis ranks, breaking ties uniformly.
-
-    Ties are broken with an independent uniformly random permutation per
-    axis (secondary sort key), so tied samples receive each relative order
-    with equal probability. Sample order and labels are preserved; the
-    output coordinates on every axis are exactly {1, ..., m}.
-    """
-    if not samples:
-        raise InvalidInput("rank_transform of an empty sample list")
-    coords = np.array([s.point for s in samples], dtype=float)
-    m, d = coords.shape
-    ranked = np.empty((m, d), dtype=float)
-    for j in range(d):
-        tiebreak = rng.permutation(m)
-        order = np.lexsort((tiebreak, coords[:, j]))
-        ranks = np.empty(m, dtype=float)
-        ranks[order] = np.arange(1, m + 1)
-        ranked[:, j] = ranks
-    out = tuple(
-        LabeledSample(tuple(ranked[i]), samples[i].label) for i in range(m)
-    )
-    return RankedSampleSet(out, provenance=provenance)
 
 
 def load_distribution_spec(path: str) -> DiscreteGridDistribution:

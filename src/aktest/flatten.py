@@ -24,6 +24,7 @@ SampleAccess = Callable[[int, np.random.Generator], np.ndarray]
 
 DEFAULT_ROBUST_CONST = 4.0  # c_r in m = ceil(c_r sqrt(b) / eps^2)
 DEFAULT_FLATTEN_CONST = 2.0  # c_f in m0 = min(s/100, ceil(c_f eps^(-4/3)))
+_REPEATS = 3  # odd, so the verdict statistic (the median Z) is one run's Z
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ class SplitMap:
 
     elements: np.ndarray
     counts: np.ndarray
-    domain_size: int | None = None
 
     @cached_property
     def multiplicity(self) -> dict:
@@ -104,11 +104,6 @@ class SplitMap:
     @property
     def max_parts(self) -> int:
         return 1 + (int(self.counts.max()) if len(self.counts) else 0)
-
-    def split_domain_size(self) -> int | None:
-        if self.domain_size is None:
-            return None
-        return self.domain_size + self.flattening_size
 
     # ---- exact pushforward -------------------------------------------------
 
@@ -183,26 +178,13 @@ class SplitMap:
         )
 
 
-def build_split_map(samples, domain_size: int | None = None) -> SplitMap:
-    """Split map of a flattening multiset, a 1-d array-like of elements.
-
-    When ``domain_size`` is given the elements must be ints in
-    [0, domain_size); otherwise any sortable elements are accepted.
-    """
+def build_split_map(samples) -> SplitMap:
+    """Split map of a flattening multiset, a 1-d array-like of sortable elements."""
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise InvalidInput("a flattening multiset must be 1-d")
     uids, counts = np.unique(samples, return_counts=True)
-    if domain_size is not None:
-        outside = uids
-        if uids.dtype.kind in "iub":  # integer and bool codes
-            outside = uids[(uids < 0) | (uids >= domain_size)]
-        if len(outside):
-            raise InvalidInput(
-                f"element {outside[0].item()!r} outside the declared domain"
-                f" [0, {domain_size})"
-            )
-    return SplitMap(uids, counts.astype(np.int64), domain_size)
+    return SplitMap(uids, counts.astype(np.int64))
 
 
 def _draw_counts(
@@ -224,7 +206,6 @@ def robust_l2_test(
     rng: np.random.Generator,
     *,
     c_r: float = DEFAULT_ROBUST_CONST,
-    repeats: int = 3,
     counts_transform: Callable | None = None,
 ) -> TestVerdict:
     """Poissonized l2 closeness test robust to an l2-norm bound b.
@@ -232,8 +213,8 @@ def robust_l2_test(
     Budget m = ceil(c_r sqrt(b) / eps^2) per side per repetition; rejects
     when the collision statistic reaches m^2 eps^2 / 2, which separates
     ||p - q||_2 = 0 from ||p - q||_2 >= eps whenever max(||p||_2^2,
-    ||q||_2^2) <= b. With the default median-of-3 repetition the verdict
-    statistic is the median Z, so "reject iff statistic >= threshold" is
+    ||q||_2^2) <= b. The test runs three times and the verdict statistic
+    is the median Z, so "reject iff statistic >= threshold" is
     preserved under boosting.
 
     ``counts_transform(uids, counts, rng)`` post-processes each side's
@@ -243,13 +224,11 @@ def robust_l2_test(
         raise InvalidInput(f"norm bound b must be positive and finite, got {b}")
     if eps <= 0 or not math.isfinite(eps):
         raise InvalidInput(f"accuracy must be positive and finite, got {eps}")
-    if repeats < 1 or repeats % 2 == 0:
-        raise InvalidInput("repeats must be a positive odd number")
     m = math.ceil(c_r * math.sqrt(b) / (eps * eps))
     threshold = m * m * eps * eps / 2.0
     z_values = []
     used = 0
-    for _ in range(repeats):
+    for _ in range(_REPEATS):
         sides = []
         for access in (p_access, q_access):
             n = int(rng.poisson(m))
@@ -277,7 +256,6 @@ def flatten_closeness(
     *,
     c_f: float = DEFAULT_FLATTEN_CONST,
     c_r: float = DEFAULT_ROBUST_CONST,
-    repeats: int = 3,
 ) -> TestVerdict:
     """Closeness test after flattening with a mixture multiset.
 
@@ -310,7 +288,6 @@ def flatten_closeness(
         eps=eps / math.sqrt(3.0),
         rng=rng,
         c_r=c_r,
-        repeats=repeats,
         counts_transform=split.split_counts_arrays,
     )
     return replace(verdict, samples_used=verdict.samples_used + n_flat)

@@ -185,28 +185,3 @@ def erdos_szekeres_threshold(n: int, d: int) -> int:
             f"psi({n}, {d}) needs more than {_PSI_BIT_CAP} bits; refusing to materialize"
         )
     return base**exponent + 1
-
-
-def union_volume(rects: Sequence[AxisRectangle]) -> float:
-    """Volume of a union of rectangles by coordinate compression.
-
-    Exact up to float products: the axes are cut at every rectangle bound and
-    each elementary cell is tested once via its midpoint.
-    """
-    if not rects:
-        return 0.0
-    d = rects[0].dim
-    if any(r.dim != d for r in rects):
-        raise InvalidInput("mixed dimensions in rectangle union")
-    cuts = [sorted({r.lo[j] for r in rects} | {r.hi[j] for r in rects}) for j in range(d)]
-    total = 0.0
-    for cell in itertools.product(*(range(len(c) - 1) for c in cuts)):
-        los = [cuts[j][cell[j]] for j in range(d)]
-        his = [cuts[j][cell[j] + 1] for j in range(d)]
-        mid = [(a + b) / 2 for a, b in zip(los, his)]
-        if any(r.contains(mid) for r in rects):
-            vol = 1.0
-            for a, b in zip(los, his):
-                vol *= b - a
-            total += vol
-    return total

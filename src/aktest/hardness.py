@@ -222,7 +222,10 @@ def _debiased_tv(
     Under the null (both samples from one law) the plug-in TV concentrates
     around sum_c sqrt(2 var_c / pi) / 2, not zero; subtracting that (with
     the pooled variance estimate) makes "consistent with zero" testable.
-    The stderr is the delta-method normal approximation.
+    The stderr is the delta-method normal approximation. The bias is
+    subtracted from every cell, also where the two laws differ, so under
+    the alternative the estimate is low: order tuples at m = 4 give
+    0.2064 +- 0.0004 over 10^6 trials, against the exact TV 15/64 = 0.234375.
     """
     f1 = counts1 / n1
     f2 = counts2 / n2

@@ -1,4 +1,4 @@
-"""Exact A_k distance oracles and discrepancy quantities at desk scale.
+"""Exact A_k distance oracles and pair-mass quantities at desk scale.
 
 The A_k distance between two measures is the maximum, over families of at
 most k rectangles whose covered support sets are pairwise disjoint, of the
@@ -171,39 +171,6 @@ def ak_distance_1d(
                     cur[i] = cand
         prev = cur
     return prev[n]
-
-
-def discrepancy_density(
-    p: DiscreteGridDistribution, q: DiscreteGridDistribution, rect: AxisRectangle
-) -> float:
-    """rho(R) = 2 |p(R) - q(R)| / (p(R) + q(R)), in [0, 2]."""
-    pm = p.mass_of(rect)
-    qm = q.mass_of(rect)
-    if pm + qm <= 0:
-        raise InvalidInput("discrepancy density is undefined on a zero-mass rectangle")
-    return 2.0 * abs(pm - qm) / (pm + qm)
-
-
-def random_pair_discrepancy(
-    p: DiscreteGridDistribution, q: DiscreteGridDistribution, rect: AxisRectangle
-) -> float:
-    """E |p(R_xy) - q(R_xy)| over x, y drawn iid from (p+q)/2 restricted to R.
-
-    Exact enumeration over ordered support pairs; R_xy is the minimal
-    rectangle spanned by the pair and always lies inside R.
-    """
-    points, pw, qw = _union_support(p, q)
-    inside = [
-        (pt, (a + b) / 2.0) for pt, a, b in zip(points, pw, qw) if rect.contains(pt)
-    ]
-    total = sum(w for _, w in inside)
-    if total <= 0:
-        raise InvalidInput("no mixture mass inside the rectangle")
-    exp = 0.0
-    for (x, wx), (y, wy) in itertools.product(inside, repeat=2):
-        box = rect_from_points(x, y)
-        exp += (wx / total) * (wy / total) * abs(p.mass_of(box) - q.mass_of(box))
-    return exp
 
 
 def expected_pair_mass(dist: DiscreteGridDistribution) -> float:

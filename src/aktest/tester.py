@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Callable
 
@@ -33,17 +33,19 @@ PointAccess = Callable[[int, np.random.Generator], np.ndarray]
 
 _PRACTICAL_FILE = "practical_constants.json"
 _BUDGET_CAP = 1 << 40
+_ALPHA_CONST = 1.0  # paper-mode exponent alpha = _ALPHA_CONST d^2 2^(2^(d+1))
+_CONSISTENCY_CONST = 1.0  # C in the budget/kappa consistency condition
 
 
 @dataclass(frozen=True)
 class TesterConfig:
     """Instance parameters plus the constants profile of one test run.
 
-    In paper mode the accuracy exponent alpha defaults to
-    alpha_const * d^2 * 2^(2^(d+1)) and the budget/kappa consistency
-    condition is enforced (it fails for every desk-scale input; paper mode
-    is for formula inspection unless alpha is overridden). Practical mode
-    uses the calibrated constants shipped in practical_constants.json.
+    In paper mode the accuracy exponent alpha defaults to d^2 * 2^(2^(d+1))
+    and the budget/kappa consistency condition is enforced (it fails for
+    every desk-scale input; paper mode is for formula inspection unless
+    alpha is overridden). Practical mode uses the calibrated constants
+    shipped in practical_constants.json.
     """
 
     k: int
@@ -53,8 +55,6 @@ class TesterConfig:
     c_prime: float = 1.0
     c_kappa: float = 1.0
     alpha: float | None = None
-    alpha_const: float = 1.0
-    consistency_const: float = 1.0
     s_multiplier: float = 1.0
     budget_multiplier: float = 1.0
     robust_const: float = DEFAULT_ROBUST_CONST
@@ -89,7 +89,7 @@ class TesterConfig:
                 f"default exponent exceeds float range at d={self.d}; "
                 "pass an explicit alpha"
             ) from None
-        return self.alpha_const * self.d * self.d * tower
+        return _ALPHA_CONST * self.d * self.d * tower
 
     @classmethod
     def paper(cls, k: int, d: int, eps: float, **overrides) -> "TesterConfig":
@@ -102,6 +102,27 @@ class TesterConfig:
         return cls(k=k, d=d, eps=eps, mode="practical", **profile)
 
 
+_INSTANCE_FIELDS = {"k", "d", "eps", "mode", "seed"}
+_CONSTANT_KEYS = {f.name for f in fields(TesterConfig)} - _INSTANCE_FIELDS
+
+
+def check_constants(profile) -> dict:
+    """A constants profile with known keys and numeric values, as floats.
+
+    Used for ``aktest test --constants`` and for the ``constants`` of an
+    ``aktest experiment`` config; range checks are left to ``TesterConfig``.
+    """
+    if not isinstance(profile, dict):
+        raise InvalidInput("constants profile must be a JSON object")
+    unknown = set(profile) - _CONSTANT_KEYS
+    if unknown:
+        raise InvalidInput(f"unknown constants in profile: {sorted(unknown)}")
+    for key, value in profile.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidInput(f"constant {key} must be a number, got {value!r}")
+    return {k: float(v) for k, v in profile.items()}
+
+
 def load_practical_constants(path=None) -> dict:
     """The calibrated constants profile (checked-in JSON, or a file)."""
     if path is None:
@@ -109,22 +130,7 @@ def load_practical_constants(path=None) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    profile = json.loads(text)
-    if not isinstance(profile, dict):
-        raise InvalidInput("constants profile must be a JSON object")
-    allowed = {
-        "c_prime",
-        "c_kappa",
-        "alpha",
-        "s_multiplier",
-        "budget_multiplier",
-        "robust_const",
-        "flatten_const",
-    }
-    unknown = set(profile) - allowed
-    if unknown:
-        raise InvalidInput(f"unknown constants in profile: {sorted(unknown)}")
-    return {k: float(v) for k, v in profile.items()}
+    return check_constants(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,7 @@ def consistency_satisfied(config: TesterConfig, m: int, kap: float) -> bool:
     """Whether m >= C max(kappa^(-2/3), kappa^(-1)/sqrt(k)) holds."""
     if kap <= 0:
         return False
-    bound = config.consistency_const * max(
+    bound = _CONSISTENCY_CONST * max(
         kap ** (-2.0 / 3.0), 1.0 / (kap * math.sqrt(config.k))
     )
     return m >= bound

@@ -307,6 +307,36 @@ def test_experiment_validates_its_config(runner, tmp_path):
     assert runner.invoke(main, ["experiment", str(unknown)]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "constants",
+    [
+        {"c_kappa": 1e5, "bogus": 1},
+        {"consistency_const": 1e9},
+        {"c_kappa": "large"},
+        {"s_multiplier": None},
+        [1.0],
+    ],
+)
+def test_experiment_checks_constants_like_the_test_command(
+    runner, tmp_path, constants
+):
+    config = experiment_config(tmp_path, constants=constants)
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert not out.exists()
+    # the test command refuses the same profile
+    p_path, q_path = write_four_atoms(tmp_path)
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(constants))
+    result = runner.invoke(
+        main,
+        ["test", str(p_path), str(q_path), "--k", "2", "--eps", "1.0",
+         "--constants", str(path)],
+    )
+    assert result.exit_code == 2, result.output
+
+
 def test_verify_runs_a_named_suite(runner):
     result = runner.invoke(main, ["verify", "ramsey", "--seed", "1"])
     assert result.exit_code == 0, result.output

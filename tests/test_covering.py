@@ -17,7 +17,6 @@ from aktest import (
     DiscreteGridDistribution,
     InvalidInput,
     SamplePointGrid,
-    build_grid,
 )
 
 
@@ -36,17 +35,6 @@ def test_grid_size_validation():
         SamplePointGrid([(1.0, 1.0, 2.0)])
     grid = SamplePointGrid([(0.0, 1.0, 3.0)])
     assert grid.m == 2 and grid.levels == 1
-
-
-def test_build_grid_sorts_each_axis():
-    grid = build_grid([(3.0, 30.0), (1.0, 10.0), (4.0, 40.0), (2.0, 50.0), (5.0, 20.0)])
-    assert grid.axis_values[0] == (1.0, 2.0, 3.0, 4.0, 5.0)
-    assert grid.axis_values[1] == (10.0, 20.0, 30.0, 40.0, 50.0)
-
-
-def test_build_grid_rejects_shared_coordinates():
-    with pytest.raises(InvalidInput):
-        build_grid([(1.0, 1.0), (2.0, 1.0), (3.0, 2.0), (4.0, 3.0), (5.0, 4.0)])
 
 
 def test_level_structure_m4():
@@ -160,19 +148,6 @@ def test_decompose_partitions_cells_exactly():
                 itertools.product(*(range(a, b) for a, b in zip(lo_idx, hi_idx)))
             )
             assert seen == target
-
-
-def test_induced_outcome_empty_and_uniform():
-    cover = cover_1d()
-    rng = np.random.default_rng(17)
-    assert cover.induced_outcome((0.0,), rng) == EMPTY
-    hits = 0
-    trials = 10_000
-    for _ in range(trials):
-        out = cover.induced_outcome((1.5,), rng)
-        assert out in (((1, 0),), ((2, 0),))
-        hits += out == ((1, 0),)
-    assert abs(hits / trials - 0.5) < 0.02
 
 
 def test_induced_distribution_point_mass():

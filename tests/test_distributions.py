@@ -1,4 +1,4 @@
-"""Sparse grid measures, rank transforms, and the distribution spec files."""
+"""Sparse grid measures, labeled samples, and the distribution spec files."""
 
 import json
 
@@ -10,14 +10,10 @@ from aktest import (
     DiscreteGridDistribution,
     InvalidInput,
     LabeledSample,
-    RankedSampleSet,
     load_distribution_spec,
-    mixture_half,
-    rank_transform,
     sample_poisson,
     save_distribution_spec,
 )
-from aktest.distributions import P_LABEL, Q_LABEL
 
 
 def quarter_uniform():
@@ -63,32 +59,6 @@ def test_duplicate_indices_accumulate():
     assert merged.total_mass == 0.25
 
 
-def test_mixture_of_point_masses():
-    a = DiscreteGridDistribution.from_atoms({(0.0,): 1.0})
-    b = DiscreteGridDistribution.from_atoms({(1.0,): 1.0})
-    mix = mixture_half(a, b)
-    assert mix.total_mass == 1.0
-    assert mix.mass_of(AxisRectangle((0.0,), (0.0,))) == 0.5
-    assert mix.mass_of(AxisRectangle((1.0,), (1.0,))) == 0.5
-
-
-def test_mixture_matches_atoms_by_coordinates():
-    # same coordinates, different index layouts: the mixture must merge them
-    p = DiscreteGridDistribution([(0.0, 1.0, 2.0)], {(0,): 0.5, (2,): 0.5})
-    q = DiscreteGridDistribution([(0.0, 2.0)], {(0,): 0.5, (1,): 0.5})
-    mix = mixture_half(p, q)
-    assert mix.mass_of(AxisRectangle((0.0,), (0.0,))) == 0.5
-    assert mix.mass_of(AxisRectangle((2.0,), (2.0,))) == 0.5
-    assert mix.total_mass == pytest.approx(1.0)
-
-
-def test_mixture_of_equal_is_equal():
-    d = quarter_uniform()
-    mix = mixture_half(d, d)
-    for idx, w in d.mass.items():
-        assert mix.mass_of(AxisRectangle(d.point_of(idx), d.point_of(idx))) == w
-
-
 def test_sample_shape_and_support():
     d = quarter_uniform()
     rng = np.random.default_rng(3)
@@ -113,53 +83,6 @@ def test_sampling_zero_measure_fails():
     d = DiscreteGridDistribution([(0.0, 1.0)], {})
     with pytest.raises(InvalidInput):
         d.sample(1, np.random.default_rng(0))
-
-
-def test_rank_transform_plain_ranks():
-    samples = [
-        LabeledSample((0.3,), P_LABEL),
-        LabeledSample((0.1,), P_LABEL),
-        LabeledSample((0.7,), Q_LABEL),
-    ]
-    ranked = rank_transform(samples, np.random.default_rng(0))
-    assert [s.point[0] for s in ranked.samples] == [2.0, 1.0, 3.0]
-    assert ranked.labels() == (P_LABEL, P_LABEL, Q_LABEL)
-
-
-def test_rank_transform_preserves_strict_order_per_axis():
-    rng = np.random.default_rng(5)
-    pts = rng.random((40, 2))
-    samples = [LabeledSample(tuple(p), P_LABEL) for p in pts]
-    ranked = rank_transform(samples, rng).points()
-    for j in range(2):
-        order = np.argsort(pts[:, j])
-        assert list(ranked[order, j]) == list(range(1, 41))
-
-
-def test_rank_transform_breaks_ties_evenly():
-    # two samples tied on x: each relative order should come up about half
-    # the time. 10^4 seeds, 3 sigma on a fair coin is under 0.015.
-    first_low = 0
-    trials = 10_000
-    for seed in range(trials):
-        samples = [LabeledSample((0.5, 0.1), P_LABEL), LabeledSample((0.5, 0.2), Q_LABEL)]
-        ranked = rank_transform(samples, np.random.default_rng(seed))
-        if ranked.samples[0].point[0] == 1.0:
-            first_low += 1
-    assert abs(first_low / trials - 0.5) < 0.02
-
-
-def test_ranked_set_validates_permutations():
-    good = RankedSampleSet(
-        (LabeledSample((1.0, 2.0), P_LABEL), LabeledSample((2.0, 1.0), Q_LABEL))
-    )
-    assert good.dim == 2 and len(good) == 2
-    with pytest.raises(InvalidInput):
-        RankedSampleSet(
-            (LabeledSample((1.0, 1.0), P_LABEL), LabeledSample((1.0, 2.0), Q_LABEL))
-        )
-    with pytest.raises(InvalidInput):
-        RankedSampleSet(())
 
 
 def test_labeled_sample_rejects_unknown_labels():

@@ -16,7 +16,6 @@ from aktest import (
     find_dominating_triple,
     is_generic,
     rect_from_points,
-    union_volume,
 )
 from aktest.verify import _carve_hits
 
@@ -68,8 +67,14 @@ def test_complement_frame():
     pieces = decompose_complement(outer, inner)
     assert len(pieces) == 4
     assert sum(p.volume() for p in pieces) == 12.0
-    # pairwise interior-disjoint: the union volume is the plain sum
-    assert union_volume(pieces) == pytest.approx(12.0)
+    # pairwise interior-disjoint: every pair overlaps in zero volume
+    for i, a in enumerate(pieces):
+        for b in pieces[i + 1 :]:
+            overlap = math.prod(
+                max(0.0, min(ahi, bhi) - max(alo, blo))
+                for alo, ahi, blo, bhi in zip(a.lo, a.hi, b.lo, b.hi)
+            )
+            assert overlap == 0.0
 
 
 def test_complement_of_itself_is_empty():
@@ -190,19 +195,6 @@ def test_erdos_szekeres_guards():
 def test_erdos_szekeres_monotone(n, d):
     assert erdos_szekeres_threshold(n + 1, d) >= erdos_szekeres_threshold(n, d)
     assert erdos_szekeres_threshold(n, d) == (n - 1) ** (2**d) + 1
-
-
-def test_union_volume_overlap():
-    a = AxisRectangle((0.0, 0.0), (1.0, 1.0))
-    b = AxisRectangle((0.5, 0.5), (1.5, 1.5))
-    assert union_volume([a, b]) == pytest.approx(1.75)
-    assert union_volume([a, a, a]) == pytest.approx(1.0)
-    assert union_volume([]) == 0.0
-
-
-def test_union_volume_rejects_mixed_dims():
-    with pytest.raises(InvalidInput):
-        union_volume([AxisRectangle((0.0,), (1.0,)), AxisRectangle((0.0, 0.0), (1.0, 1.0))])
 
 
 def test_volume_matches_product():

@@ -11,10 +11,8 @@ from aktest import (
     ak_distance_1d,
     ak_distance_bruteforce,
     constant_mass_bound,
-    discrepancy_density,
     expected_pair_mass,
     is_generic,
-    random_pair_discrepancy,
 )
 
 
@@ -122,43 +120,6 @@ def test_bruteforce_caps():
     )
     with pytest.raises(CapExceeded):
         ak_distance_bruteforce(big, delta(0.5), 2)
-
-
-def test_discrepancy_density_values():
-    r = AxisRectangle((0.0,), (1.0,))
-    p = DiscreteGridDistribution.from_atoms({(0.5,): 0.2})
-    zero = DiscreteGridDistribution.from_atoms({(2.0,): 1.0})
-    assert discrepancy_density(p, zero, r) == 2.0
-    assert discrepancy_density(p, p, r) == 0.0
-    q = DiscreteGridDistribution.from_atoms({(0.5,): 0.1})
-    assert discrepancy_density(p, q, r) == pytest.approx(2.0 * 0.1 / 0.3)
-    with pytest.raises(InvalidInput):
-        discrepancy_density(zero, zero, r)
-
-
-def test_pair_discrepancy_one_sided_example():
-    # q(R) = 0 and p uniform on two points of R: pairs (a,a), (b,b), (a,b)
-    # have weights 1/4, 1/4, 1/2 and spanned masses 1/2, 1/2, 1, so the
-    # expectation is 0.75 p(R).
-    p = DiscreteGridDistribution.from_atoms({(0.2,): 0.5, (0.8,): 0.5})
-    q = DiscreteGridDistribution.from_atoms({(5.0,): 1.0})
-    r = AxisRectangle((0.0,), (1.0,))
-    assert random_pair_discrepancy(p, q, r) == pytest.approx(0.75 * 1.0)
-
-    scaled = DiscreteGridDistribution.from_atoms({(0.2,): 0.25, (0.8,): 0.25})
-    assert random_pair_discrepancy(scaled, q, r) == pytest.approx(0.75 * 0.5)
-
-
-def test_pair_discrepancy_vanishes_when_equal():
-    p, _ = four_atom_pair()
-    r = AxisRectangle((0.0, 0.0), (1.0, 1.0))
-    assert random_pair_discrepancy(p, p, r) == 0.0
-
-
-def test_pair_discrepancy_needs_mass_in_rect():
-    p = delta(0.0)
-    with pytest.raises(InvalidInput):
-        random_pair_discrepancy(p, p, AxisRectangle((1.0,), (2.0,)))
 
 
 def test_constant_mass_bounds():

@@ -59,11 +59,10 @@ def test_config_validation():
 def test_alpha_exponent_defaults():
     assert TesterConfig(k=4, d=3, eps=1.0).alpha_d == 1.0
     assert TesterConfig(k=4, d=3, eps=1.0, alpha=2.5).alpha_d == 2.5
-    # paper default: alpha_const d^2 2^(2^(d+1))
+    # paper default: d^2 2^(2^(d+1))
     assert TesterConfig.paper(4, 1, 1.0).alpha_d == 16.0
     assert TesterConfig.paper(4, 2, 1.0).alpha_d == 4 * 2**8
     assert TesterConfig.paper(4, 3, 1.0).alpha_d == 9 * 2**16
-    assert TesterConfig.paper(4, 1, 1.0, alpha_const=0.5).alpha_d == 8.0
     with pytest.raises(InvalidInput):
         TesterConfig.paper(4, 9, 1.0).alpha_d  # tower exceeds float range
 
