@@ -17,7 +17,6 @@ from .covering import (
 )
 from .distributions import (
     DiscreteGridDistribution,
-    LabeledSample,
     load_distribution_spec,
     sample_poisson,
     save_distribution_spec,
@@ -44,12 +43,10 @@ from .geometry import (
 from .hardness import (
     HardInstance,
     MonotoneMap,
-    OrderTuple,
     SquareEdgeGadget,
     TvEstimate,
     gen_hard_instance,
     obfuscation_tv,
-    order_tuple,
     order_tuple_distribution_distance,
     sample_monotone_map,
 )
@@ -87,9 +84,7 @@ __all__ = [
     "FamilyInstance",
     "HardInstance",
     "InvalidInput",
-    "LabeledSample",
     "MonotoneMap",
-    "OrderTuple",
     "PointSet",
     "RectangleFamily",
     "SamplePointGrid",
@@ -119,7 +114,6 @@ __all__ = [
     "load_practical_constants",
     "make_instance",
     "obfuscation_tv",
-    "order_tuple",
     "order_tuple_distribution_distance",
     "rect_from_points",
     "robust_l2_test",

@@ -1,4 +1,4 @@
-"""Discrete grid-supported measures, Poissonized sampling, and labeled samples.
+"""Discrete grid-supported measures and Poissonized sampling.
 
 A DiscreteGridDistribution is a nonnegative measure on a finite product grid:
 per-axis sorted coordinate arrays plus a sparse map from index tuples to mass.
@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import InvalidInput
 from .geometry import AxisRectangle, Point
-
-P_LABEL = "P"
-Q_LABEL = "Q"
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -131,19 +128,6 @@ def sample_poisson(
         raise InvalidInput(f"Poisson budget must be positive, got {m}")
     n = int(rng.poisson(m * dist.total_mass))
     return dist.sample(n, rng)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """A point with its source tag (P or Q)."""
-
-    point: Point
-    label: str
-
-    def __post_init__(self):
-        if self.label not in (P_LABEL, Q_LABEL):
-            raise InvalidInput(f"label must be {P_LABEL!r} or {Q_LABEL!r}")
-        object.__setattr__(self, "point", tuple(float(v) for v in self.point))
 
 
 def load_distribution_spec(path: str) -> DiscreteGridDistribution:

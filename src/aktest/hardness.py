@@ -10,13 +10,15 @@ pairs built from them hard to tell apart from few samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import DiscreteGridDistribution, LabeledSample
+from .distributions import DiscreteGridDistribution
 from .errors import InvalidInput
 from .geometry import AxisRectangle
 from .oracle import RectangleFamily
@@ -174,43 +176,11 @@ def _gadget_points(
 
 
 @dataclass(frozen=True)
-class OrderTuple:
-    """Per-axis rank vectors plus source labels of a labeled planar sample."""
-
-    sigma_x: tuple[int, ...]
-    sigma_y: tuple[int, ...]
-    labels: tuple[str, ...]
-
-
-def order_tuple(samples: Sequence[LabeledSample]) -> OrderTuple:
-    """Ranks (1-based) of each sample on each axis, plus labels.
-
-    Tied coordinates have no well-defined order and raise InvalidInput.
-    """
-    if not samples:
-        raise InvalidInput("empty sample list")
-    xs = [s.point[0] for s in samples]
-    ys = [s.point[1] for s in samples]
-    if any(len(s.point) != 2 for s in samples):
-        raise InvalidInput("order tuples are defined for planar samples")
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise InvalidInput("tied coordinates have no order tuple")
-    rank_x = {v: i + 1 for i, v in enumerate(sorted(xs))}
-    rank_y = {v: i + 1 for i, v in enumerate(sorted(ys))}
-    return OrderTuple(
-        tuple(rank_x[v] for v in xs),
-        tuple(rank_y[v] for v in ys),
-        tuple(s.label for s in samples),
-    )
-
-
-@dataclass(frozen=True)
 class TvEstimate:
     """Bias-corrected empirical total variation between two sampled laws."""
 
     estimate: float
     stderr: float
-    raw: float
     cells: int
 
 
@@ -224,55 +194,120 @@ def _debiased_tv(
     the pooled variance estimate) makes "consistent with zero" testable.
     The stderr is the delta-method normal approximation. The bias is
     subtracted from every cell, also where the two laws differ, so under
-    the alternative the estimate is low: order tuples at m = 4 give
-    0.2064 +- 0.0004 over 10^6 trials, against the exact TV 15/64 = 0.234375.
+    the alternative the estimate is low: at m = 4, 10^6 order tuples per
+    world gave 0.2064 +- 0.0004, 66 stderr under order_tuple_distribution_distance(4).
     """
     f1 = counts1 / n1
     f2 = counts2 / n2
     diff = np.abs(f1 - f2)
-    raw = 0.5 * float(diff.sum())
     pooled = (counts1 + counts2) / (n1 + n2)
     var = pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)
     bias = np.sqrt(2.0 * var / math.pi)
     estimate = 0.5 * float((diff - bias).sum())
     stderr = 0.5 * math.sqrt(float(var.sum()) * (1.0 - 2.0 / math.pi))
-    return TvEstimate(estimate=estimate, stderr=stderr, raw=raw, cells=len(f1))
+    return TvEstimate(estimate=estimate, stderr=stderr, cells=len(f1))
 
 
-# Both order-tuple worlds draw from the diamond inscribed in the unit square.
+# Both order-tuple worlds draw from the diamond inscribed in the unit square
+# and label each point P or Q by a fair coin. The yes world draws every point
+# from the even mixture; the no world flips one coin per tuple and gives
+# variant T to one label and R to the other.
 _TUPLE_CENTER = (0.5, 0.5)
 _TUPLE_RADIUS = 0.5
 
 
-def order_tuple_distribution_distance(
-    m: int, trials: int, rng: np.random.Generator
-) -> TvEstimate:
-    """Monte-Carlo TV between order-tuple laws of the two worlds.
+def order_tuple_laws(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Exact order-tuple laws of the yes and no worlds: the sorted
+    _encode_tuples codes of each support, with int64 weights.
 
-    World one draws every point from the even gadget mixture; world two
-    flips one fair coin per tuple and assigns variant T to one source label
-    and R to the other. For m <= 3 points the two order-tuple laws agree
-    exactly, so the debiased estimate is consistent with zero; at m = 4
-    they separate.
+    Edges have slope +-1 and equal spans on both axes, so with u a point's
+    position along its edge, x = ax + u and y is u, u - 1, -u or 1 - u (in
+    radius units). Comparing two points is then u_i < u_j, u_i + u_j < 1 or
+    a constant, so the order tuple is constant on each of the m! 2^m
+    equal-volume cells of the arrangement of {u_i, 1 - u_i}.
     """
+    if not 1 <= m <= 4:  # m = 5 would enumerate about 8 * 10^6 configurations
+        raise InvalidInput(f"exact laws need m in 1..4, got {m}")
+    # A cell fixes the order of the |u_i - 1/2| and each u_i's side of 1/2.
+    perms = np.array(list(itertools.permutations(range(1, m + 1))))
+    signs = np.array(list(itertools.product((-1, 1), repeat=m)))
+    u = 0.5 + (perms[:, None] * signs[None]).reshape(-1, m) / (2 * (m + 1))
+    a = np.add(_TUPLE_CENTER, _TUPLE_RADIUS * _DIR_A)
+    span = np.add(_TUPLE_CENTER, _TUPLE_RADIUS * _DIR_B) - a
+
+    def law(edges: np.ndarray, labels: np.ndarray):
+        pts = a[edges][:, None] + span[edges][:, None] * u[None, :, :, None]
+        codes = _encode_tuples(pts.reshape(-1, m, 2), np.repeat(labels, len(u), 0), m)
+        return np.unique(codes, return_counts=True)
+
+    # Yes world: labels are independent of the points, so they are added
+    # to the label-free codes instead of being enumerated.
+    edges = np.array(list(itertools.product(range(4), repeat=m)))
+    order, counts = law(edges, np.zeros_like(edges))
+    yes = ((order[:, None] + np.arange(1 << m)).ravel(), np.repeat(counts, 1 << m))
+    # No world: orientation bit, m labels, m edge-within-variant bits.
+    flags = np.array(list(itertools.product((0, 1), repeat=2 * m + 1)))
+    orient, labels, bits = flags[:, :1], flags[:, 1 : m + 1], flags[:, m + 1 :]
+    return yes, law(bits + 2 * (labels ^ orient), labels)
+
+
+def order_tuple_distribution_distance(m: int) -> Fraction:
+    """Exact TV between the two worlds' order-tuple laws: the paper's claim
+    is 0 for m <= 3 samples and 15/64 at m = 4."""
+    (y_codes, y_counts), (n_codes, n_counts) = order_tuple_laws(m)
+    y_total, n_total = int(y_counts.sum()), int(n_counts.sum())
+    codes, inverse = np.unique(np.concatenate([y_codes, n_codes]), return_inverse=True)
+    diff = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(diff, inverse, np.concatenate([y_counts * n_total, -n_counts * y_total]))
+    return Fraction(int(np.abs(diff).sum()), 2 * y_total * n_total)
+
+
+def sample_order_tuple_cells(
+    m: int, trials: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """_encode_tuples codes of `trials` sampled tuples from each world."""
     if not 1 <= m <= 8:
         raise InvalidInput(f"tuple size m must be in 1..8, got {m}")
     if trials < 1000:
         raise InvalidInput("need at least 1000 trials for a stable estimate")
-    labels = rng.integers(2, size=(trials, m))  # 0 = P, 1 = Q
-    yes_codes = np.full(trials * m, 2)
-    yes_pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, yes_codes, rng)
-    yes_pts = yes_pts.reshape(trials, m, 2)
-    yes_cells = _encode_tuples(yes_pts, labels, m)
 
-    labels2 = rng.integers(2, size=(trials, m))
-    orient = rng.integers(2, size=(trials, 1))
-    # orient 0: P draws T, Q draws R; orient 1: the swap.
-    no_codes = (labels2 ^ orient).reshape(-1)
-    no_pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, no_codes, rng)
-    no_pts = no_pts.reshape(trials, m, 2)
-    no_cells = _encode_tuples(no_pts, labels2, m)
-    return _debiased_tv(*_cell_counts(yes_cells, no_cells), trials, trials)
+    def world(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, codes.reshape(-1), rng)
+        return _encode_tuples(pts.reshape(trials, m, 2), labels, m)
+
+    labels = rng.integers(2, size=(trials, m))  # 0 = P, 1 = Q
+    yes_cells = world(np.full((trials, m), 2, dtype=np.int8), labels)
+    labels = rng.integers(2, size=(trials, m))
+    orient = rng.integers(2, size=(trials, 1))  # 0: P draws T, Q draws R
+    return yes_cells, world(labels ^ orient, labels)
+
+
+def law_fit(
+    cells: np.ndarray, law: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, int, int]:
+    """Chi-square fit of sampled codes to a (sorted codes, counts) law.
+    Returns the Wilson-Hilferty z of Pearson's X^2 over runs of adjacent
+    codes pooled to expect five draws each, its degrees of freedom, and
+    the number of draws outside the law's support."""
+    codes, counts = law
+    seen, seen_counts = np.unique(cells, return_counts=True)
+    pos = np.minimum(np.searchsorted(codes, seen), len(codes) - 1)
+    inside = codes[pos] == seen
+    observed = np.bincount(pos[inside], seen_counts[inside], minlength=len(codes))
+    expected = counts * (len(cells) / counts.sum())
+    bins, b, acc = np.empty(len(codes), dtype=np.int64), 0, 0.0
+    for i, e in enumerate(expected.tolist()):
+        bins[i], acc = b, acc + e
+        if acc >= 5.0:
+            b, acc = b + 1, 0.0
+    if acc and b:  # a short last bin joins the one before
+        bins[bins == b] = b - 1
+    exp_b = np.bincount(bins, weights=expected)
+    x2 = float(((np.bincount(bins, weights=observed) - exp_b) ** 2 / exp_b).sum())
+    df = len(exp_b) - 1
+    h = 2.0 / (9.0 * df)
+    z = ((x2 / df) ** (1.0 / 3.0) - (1.0 - h)) / math.sqrt(h)
+    return z, df, int(seen_counts[~inside].sum())
 
 
 def _encode_tuples(pts: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
@@ -296,18 +331,6 @@ def _encode_tuples(pts: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
         code *= 2
         code += labels[:, t]
     return code
-
-
-def _cell_counts(
-    cells1: np.ndarray, cells2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell counts of two samples over the sorted union of their cells."""
-    union, inverse = np.unique(np.concatenate([cells1, cells2]), return_inverse=True)
-    split = len(cells1)
-    return (
-        np.bincount(inverse[:split], minlength=len(union)),
-        np.bincount(inverse[split:], minlength=len(union)),
-    )
 
 
 # ---- hard instances --------------------------------------------------------
@@ -623,14 +646,12 @@ def obfuscation_tv(
     c1 = obfuscation_coords(scale, triple_one, n, rng)
     c2 = obfuscation_coords(scale, triple_two, n, rng)
     pooled = np.vstack([c1, c2])
-    cells1 = np.zeros(len(c1), dtype=np.int64)
-    cells2 = np.zeros(len(c2), dtype=np.int64)
+    cells = np.zeros(len(pooled), dtype=np.int64)
     bins = _OBFUSCATION_BINS
     for j in range(3):
-        lo, hi = pooled[:, j].min(), pooled[:, j].max()
-        edges = np.linspace(lo, hi, bins + 1)
-        b1 = np.clip(np.searchsorted(edges, c1[:, j], side="right") - 1, 0, bins - 1)
-        b2 = np.clip(np.searchsorted(edges, c2[:, j], side="right") - 1, 0, bins - 1)
-        cells1 = cells1 * bins + b1
-        cells2 = cells2 * bins + b2
-    return _debiased_tv(*_cell_counts(cells1, cells2), n, n)
+        edges = np.linspace(pooled[:, j].min(), pooled[:, j].max(), bins + 1)
+        b = np.searchsorted(edges, pooled[:, j], side="right") - 1
+        cells = cells * bins + np.clip(b, 0, bins - 1)
+    union, inverse = np.unique(cells, return_inverse=True)
+    halves = (inverse[: len(c1)], inverse[len(c1) :])
+    return _debiased_tv(*(np.bincount(h, minlength=len(union)) for h in halves), n, n)

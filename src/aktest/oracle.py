@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DiscreteGridDistribution
 from .errors import CapExceeded, InvalidInput
 from .geometry import AxisRectangle, Point, rect_from_points
@@ -145,32 +147,27 @@ def ak_distance_bruteforce(
 def ak_distance_1d(
     p: DiscreteGridDistribution, q: DiscreteGridDistribution, k: int
 ) -> float:
-    """Exact A_k distance in one dimension by dynamic programming.
+    """Exact A_k distance in one dimension by dynamic programming, O(k n).
 
-    Over the sorted union support, an optimal family consists of intervals
-    covering contiguous runs of atoms; dp[j][i] is the best value over the
-    first i atoms with at most j intervals. O(k n^2).
+    Over the sorted union support an optimal family is k intervals of
+    contiguous atoms. With S the prefix sums of p - q, the best value
+    dp_j[i] over the first i atoms with j intervals is the running maximum
+    over i of dp_{j-1}[i] and +-S_i + max_{l <= i} (dp_{j-1}[l-1] -+ S_{l-1}).
     """
     if p.dim != 1 or q.dim != 1:
         raise InvalidInput("the DP oracle handles one-dimensional inputs only")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
-    points, pw, qw = _union_support(p, q)
-    n = len(points)
-    delta = [a - b for a, b in zip(pw, qw)]
-    prev = [0.0] * (n + 1)
+    _, pw, qw = _union_support(p, q)
+    prefix = np.concatenate(([0.0], np.cumsum(np.subtract(pw, qw))))
+    signed = np.stack([prefix, -prefix])
+    dp = np.zeros(len(prefix))
     for _ in range(k):
-        cur = [0.0] * (n + 1)
-        for i in range(1, n + 1):
-            cur[i] = max(cur[i - 1], prev[i - 1])
-            run = 0.0
-            for l in range(i, 0, -1):
-                run += delta[l - 1]
-                cand = prev[l - 1] + abs(run)
-                if cand > cur[i]:
-                    cur[i] = cand
-        prev = cur
-    return prev[n]
+        best = np.maximum.accumulate(dp - signed, axis=1)
+        ends = (signed[:, 1:] + best[:, :-1]).max(axis=0)
+        dp[1:] = np.maximum(dp[1:], ends)
+        dp = np.maximum.accumulate(dp)
+    return float(dp[-1])
 
 
 def expected_pair_mass(dist: DiscreteGridDistribution) -> float:

@@ -30,7 +30,10 @@ from .hardness import (
     VARIANT_R,
     VARIANT_T,
     SquareEdgeGadget,
+    law_fit,
     order_tuple_distribution_distance,
+    order_tuple_laws,
+    sample_order_tuple_cells,
 )
 
 
@@ -179,29 +182,30 @@ def run_square_edge_suite(seed: int = 0) -> list[CheckResult]:
 
 
 def run_order_tuple_suite(seed: int = 0, trials: int = 1_000_000) -> list[CheckResult]:
-    """Order-tuple laws match for up to 3 samples and split at 4."""
-    rng = np.random.default_rng((seed, 0x07))
+    """Exact order-tuple laws match for up to 3 samples and split at 4; the
+    gadget sampler fits the m = 4 laws with `trials` tuples per world."""
     results = []
-    for m in (1, 2, 3):
-        est = order_tuple_distribution_distance(m, trials, rng)
-        tol = max(0.01, 3.0 * est.stderr)
+    for m in (1, 2, 3, 4):
+        tv = order_tuple_distribution_distance(m)
+        want = Fraction(15, 64) if m == 4 else Fraction(0)
         results.append(
             _check(
-                f"tuple-law match m={m}",
-                abs(est.estimate) <= tol,
-                f"debiased TV {est.estimate:+.5f} (raw {est.raw:.5f}, stderr "
-                f"{est.stderr:.5f}) within {tol:.5f} of 0 over {est.cells} cells",
+                f"tuple-law {'gap' if m == 4 else 'match'} m={m}",
+                tv == want,
+                f"exact TV {tv}, expected {want}",
             )
         )
-    est4 = order_tuple_distribution_distance(4, trials, rng)
-    results.append(
-        _check(
-            "tuple-law gap m=4",
-            est4.estimate > 5.0 * est4.stderr,
-            f"debiased TV {est4.estimate:.5f} > 5 x stderr {est4.stderr:.5f}; "
-            "four samples do distinguish the worlds",
+    cells = sample_order_tuple_cells(4, trials, np.random.default_rng((seed, 0x07)))
+    for world, world_cells, law in zip(("yes", "no"), cells, order_tuple_laws(4)):
+        z, df, outside = law_fit(world_cells, law)
+        results.append(
+            _check(
+                f"sampler fit m=4 {world} world",
+                outside == 0 and z <= 4.0,
+                f"{trials} tuples on {len(law[0])} exact cells: chi-square z "
+                f"{z:+.2f} (at most 4) on {df} df, {outside} draws off the support",
+            )
         )
-    )
     return results
 
 

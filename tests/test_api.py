@@ -3,10 +3,15 @@
 import aktest
 
 REMOVED = (
+    "LabeledSample",
+    "OrderTuple",
+    "P_LABEL",
+    "Q_LABEL",
     "RankedSampleSet",
     "build_grid",
     "discrepancy_density",
     "mixture_half",
+    "order_tuple",
     "random_pair_discrepancy",
     "rank_transform",
     "union_volume",

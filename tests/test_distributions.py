@@ -9,7 +9,6 @@ from aktest import (
     AxisRectangle,
     DiscreteGridDistribution,
     InvalidInput,
-    LabeledSample,
     load_distribution_spec,
     sample_poisson,
     save_distribution_spec,
@@ -83,11 +82,6 @@ def test_sampling_zero_measure_fails():
     d = DiscreteGridDistribution([(0.0, 1.0)], {})
     with pytest.raises(InvalidInput):
         d.sample(1, np.random.default_rng(0))
-
-
-def test_labeled_sample_rejects_unknown_labels():
-    with pytest.raises(InvalidInput):
-        LabeledSample((0.0,), "R")
 
 
 def test_spec_round_trip_is_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 """Lower-bound machinery: gadgets, order tuples, hard instances, obfuscation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,16 +10,13 @@ from aktest import (
     AxisRectangle,
     HardInstance,
     InvalidInput,
-    LabeledSample,
     MonotoneMap,
     ak_distance_bruteforce,
     gen_hard_instance,
     obfuscation_tv,
-    order_tuple,
     order_tuple_distribution_distance,
     sample_monotone_map,
 )
-from aktest.distributions import P_LABEL, Q_LABEL
 from aktest.hardness import (
     VARIANT_MIX,
     VARIANT_R,
@@ -26,7 +24,10 @@ from aktest.hardness import (
     SquareEdgeGadget,
     SquareSpec,
     _encode_tuples,
+    law_fit,
     obfuscation_coords,
+    order_tuple_laws,
+    sample_order_tuple_cells,
 )
 
 UNIT = SquareEdgeGadget((0.0, 0.0), 1.0, VARIANT_T)
@@ -115,25 +116,27 @@ def test_gadget_sampling():
     assert mix.sample(0, rng).shape == (0, 2)
 
 
+def stable_rank_codes(pts, labels):
+    """Reference tuple codes: per-axis 0-based ranks from a stable argsort,
+    then the labels, in the digit layout of _encode_tuples."""
+    n, m, _ = pts.shape
+    ranks = np.empty((n, m, 2), dtype=np.int64)
+    for axis in range(2):
+        order = np.argsort(pts[:, :, axis], axis=1, kind="stable")
+        np.put_along_axis(ranks[:, :, axis], order, np.arange(m)[None, :], axis=1)
+    codes = np.zeros(n, dtype=np.int64)
+    for rank in np.moveaxis(ranks, 2, 1).reshape(n, 2 * m).T:
+        codes = codes * m + rank
+    for label in np.asarray(labels).T:
+        codes = codes * 2 + label
+    return codes
+
+
 def test_order_tuple_example():
-    samples = [
-        LabeledSample((1.0, 5.0), P_LABEL),
-        LabeledSample((3.0, 2.0), Q_LABEL),
-    ]
-    ot = order_tuple(samples)
-    assert ot.sigma_x == (1, 2)
-    assert ot.sigma_y == (2, 1)
-    assert ot.labels == (P_LABEL, Q_LABEL)
-
-
-def test_order_tuple_guards():
-    with pytest.raises(InvalidInput):
-        order_tuple([])
-    tied = [LabeledSample((1.0, 2.0), P_LABEL), LabeledSample((1.0, 3.0), P_LABEL)]
-    with pytest.raises(InvalidInput):
-        order_tuple(tied)
-    with pytest.raises(InvalidInput):
-        order_tuple([LabeledSample((1.0, 2.0, 3.0), P_LABEL)])
+    # P at (1, 5), Q at (3, 2): sigma_x = (0, 1), sigma_y = (1, 0), labels (0, 1)
+    pts = np.array([[[1.0, 5.0], [3.0, 2.0]]])
+    code = 0b_01_10_01  # sigma_x, sigma_y, labels: two base-m=2 digits each
+    assert _encode_tuples(pts, np.array([[0, 1]]), 2).tolist() == [code]
 
 
 def test_order_tuple_invariant_under_monotone_maps():
@@ -143,39 +146,61 @@ def test_order_tuple_invariant_under_monotone_maps():
     gadget = SquareEdgeGadget((0.5, 0.5), 0.5, VARIANT_MIX)
     fx = MonotoneMap(lam1=1.2, lam2=3.0, log_lam3=math.log(7.0), scale=16.0)
     fy = MonotoneMap(lam1=0.4, lam2=0.1, log_lam3=-math.inf, scale=16.0)
+    labels = np.array([[i % 2 for i in range(5)]])
     for _ in range(25):
         pts = gadget.sample(5, rng)
-        labels = [P_LABEL if i % 2 else Q_LABEL for i in range(5)]
-        plain = order_tuple(
-            [LabeledSample(tuple(p), l) for p, l in zip(pts, labels)]
-        )
-        mapped = order_tuple(
-            [
-                LabeledSample((fx.apply(p[0]), fy.apply(p[1])), l)
-                for p, l in zip(pts, labels)
-            ]
-        )
-        assert mapped == plain
+        mapped = np.array([[fx.apply(x), fy.apply(y)] for x, y in pts])
+        plain = stable_rank_codes(pts[None], labels)
+        assert np.array_equal(stable_rank_codes(mapped[None], labels), plain)
+        assert np.array_equal(_encode_tuples(mapped[None], labels, 5), plain)
 
 
 def test_order_tuple_distance_validation():
+    for m in (0, 5):
+        with pytest.raises(InvalidInput):
+            order_tuple_distribution_distance(m)
+        with pytest.raises(InvalidInput):
+            order_tuple_laws(m)
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidInput):
-        order_tuple_distribution_distance(0, 2000, rng)
+        sample_order_tuple_cells(0, 2000, rng)
     with pytest.raises(InvalidInput):
-        order_tuple_distribution_distance(9, 2000, rng)
+        sample_order_tuple_cells(9, 2000, rng)
     with pytest.raises(InvalidInput):
-        order_tuple_distribution_distance(2, 999, rng)
+        sample_order_tuple_cells(2, 999, rng)
 
 
 def test_order_tuple_laws_match_then_split():
-    # light version of the m <= 3 match / m = 4 gap; the acceptance test
-    # runs the full 10^6-trial suite
-    rng = np.random.default_rng(7)
-    small = order_tuple_distribution_distance(1, 20_000, rng)
-    assert abs(small.estimate) <= max(0.01, 3 * small.stderr)
-    gap = order_tuple_distribution_distance(4, 50_000, rng)
-    assert gap.estimate > 5 * gap.stderr
+    for m in (1, 2, 3):
+        assert order_tuple_distribution_distance(m) == Fraction(0)
+    assert order_tuple_distribution_distance(4) == Fraction(15, 64)
+    for m in (1, 2, 3, 4):
+        (y_codes, y_counts), (n_codes, n_counts) = order_tuple_laws(m)
+        cells = math.factorial(m) * 2**m  # of the arrangement of {u_i, 1 - u_i}
+        assert y_counts.sum() == 4**m * 2**m * cells  # edges x labels x cells
+        assert n_counts.sum() == 2 * 2**m * 2**m * cells  # orientation x labels x edges
+        for codes in (y_codes, n_codes):
+            assert codes.dtype == np.int64
+            assert np.all(np.diff(codes) > 0)
+    (y_codes, _), (n_codes, _) = order_tuple_laws(4)
+    assert (len(y_codes), len(n_codes)) == (8448, 6528)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_sampler_fits_the_exact_laws(m):
+    cells = sample_order_tuple_cells(m, 100_000, np.random.default_rng((61, m)))
+    for world_cells, law in zip(cells, order_tuple_laws(m)):
+        z, _, outside = law_fit(world_cells, law)
+        assert outside == 0 and z <= 4.0
+
+
+def test_fit_rejects_the_other_worlds_law():
+    yes_cells, no_cells = sample_order_tuple_cells(4, 100_000, np.random.default_rng(67))
+    yes_law, no_law = order_tuple_laws(4)
+    assert law_fit(yes_cells, no_law)[2] > 0
+    # every no-world tuple is possible in the yes world: the counts must tell
+    z, _, outside = law_fit(no_cells, yes_law)
+    assert outside == 0 and z > 4.0
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -183,20 +208,7 @@ def test_encode_tuples_matches_scalar_order_tuples(m):
     rng = np.random.default_rng((43, m))
     pts = rng.random((300, m, 2))
     labels = rng.integers(2, size=(300, m))
-    expected = []
-    for row, tags in zip(pts, labels):
-        samples = [
-            LabeledSample(tuple(pt), Q_LABEL if tag else P_LABEL)
-            for pt, tag in zip(row, tags)
-        ]
-        ot = order_tuple(samples)
-        code = 0
-        for rank in ot.sigma_x + ot.sigma_y:
-            code = code * m + rank - 1
-        for label in ot.labels:
-            code = code * 2 + (label == Q_LABEL)
-        expected.append(code)
-    assert _encode_tuples(pts, labels, m).tolist() == expected
+    assert np.array_equal(_encode_tuples(pts, labels, m), stable_rank_codes(pts, labels))
 
 
 def test_encode_tuples_ranks_ties_stably():
@@ -204,15 +216,7 @@ def test_encode_tuples_ranks_ties_stably():
     m = 5
     pts = rng.integers(0, 3, size=(500, m, 2)).astype(float)
     labels = np.zeros((500, m), dtype=np.int64)
-    ranks = np.empty((500, m, 2), dtype=np.int64)
-    for axis in range(2):
-        order = np.argsort(pts[:, :, axis], axis=1, kind="stable")
-        np.put_along_axis(ranks[:, :, axis], order, np.arange(m)[None, :], axis=1)
-    expected = np.zeros(500, dtype=np.int64)
-    for rank in np.moveaxis(ranks, 2, 1).reshape(500, 2 * m).T:
-        expected = expected * m + rank
-    expected <<= m  # all labels 0
-    assert np.array_equal(_encode_tuples(pts, labels, m), expected)
+    assert np.array_equal(_encode_tuples(pts, labels, m), stable_rank_codes(pts, labels))
 
 
 def test_hard_instance_sampler_matches_per_point_formula():
