@@ -154,13 +154,19 @@ def _gadget_points(
     stream shape data-independent.
 
     A point is a + u * (b - a) on its edge [a, b]; a and b - a are tabled
-    once per (center, edge) and gathered per point.
+    once per (center, edge) and gathered per point. The three draws are
+    the only n-sized temporaries: two become the edge index in place, and
+    u's buffer is reused for the second gather.
     """
     n = len(codes)
     coin = rng.integers(2, size=n)
-    hi_bit = rng.integers(2, size=n)
+    edge = rng.integers(2, size=n)  # the MIX variant's edge-pair bit
     u = rng.random(n)
-    edge = coin + 2 * np.where(codes == 2, hi_bit, codes)
+    # edge = 2 (codes, or that bit for MIX) + coin [+ 4 comp], in place
+    np.copyto(edge, codes, where=codes != 2)
+    edge *= 2
+    edge += coin
+    del coin
     if comp is not None:
         edge += 4 * comp
     centers = np.asarray(centers, dtype=float).reshape(-1, 1, 2)
@@ -168,7 +174,11 @@ def _gadget_points(
     span = (centers + radius * _DIR_B).reshape(-1, 2) - a
     out = np.take(span, edge, axis=0)
     out *= u[:, None]
-    out += np.take(a, edge, axis=0)
+    for j in range(2):
+        # u is spent, so its buffer takes the gathered offsets. edge is in
+        # range by construction; mode="clip" only avoids the temporary copy
+        # that mode="raise" makes of an out= array.
+        out[:, j] += np.take(a[:, j], edge, out=u, mode="clip")
     return out
 
 
@@ -318,8 +328,7 @@ def _encode_tuples(pts: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     smaller one, which is where a stable sort puts it.
     """
     code = np.zeros(pts.shape[0], dtype=np.int64)
-    for axis in range(2):
-        cols = [np.ascontiguousarray(pts[:, t, axis]) for t in range(m)]
+    for cols in np.ascontiguousarray(pts.transpose(2, 1, 0)):  # [axis, t]
         for i, xi in enumerate(cols):
             code *= m
             for j, xj in enumerate(cols):

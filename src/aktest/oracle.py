@@ -2,9 +2,10 @@
 
 The A_k distance between two measures is the maximum, over families of at
 most k rectangles whose covered support sets are pairwise disjoint, of the
-summed absolute mass discrepancies. For finite supports the search space
-reduces to support-canonical rectangles (hulls of covered support subsets),
-which these oracles enumerate exhaustively, with explicit size caps.
+summed absolute mass discrepancies. For finite supports only the covered
+support set of a rectangle matters, and every such set is covered by a
+rectangle whose per-axis bounds are support coordinates; the brute force
+enumerates those exhaustively, with explicit size caps.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .geometry import AxisRectangle, Point, rect_from_points
 MAX_SUPPORT = 64
 MAX_CANDIDATE_RECTS = 200_000
 MAX_K = 8
+# Relative slack on the brute force's remaining-mass bound; the float sums it
+# compares are within about (MAX_SUPPORT + 2 MAX_K) 2^-53 of the total.
+_REM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,14 +36,6 @@ class RectangleFamily:
 
     def __len__(self) -> int:
         return len(self.rects)
-
-
-def _cover_mask(rect: AxisRectangle, points: list[Point]) -> int:
-    mask = 0
-    for i, pt in enumerate(points):
-        if rect.contains(pt):
-            mask |= 1 << i
-    return mask
 
 
 def _union_support(
@@ -63,11 +59,13 @@ def ak_distance_bruteforce(
 ) -> tuple[float, RectangleFamily]:
     """Exact A_k distance with a witness family, by exhaustive search.
 
-    Enumerates all support-canonical rectangles (per-axis bounds drawn from
-    support coordinates), deduplicates by covered support set, and runs a
-    branch-and-bound search over families of at most k rectangles with
-    pairwise disjoint covered sets. Raises CapExceeded when the instance is
-    beyond the exact-search caps.
+    Enumerates every rectangle whose per-axis bounds are support
+    coordinates, as uint64 bit sets of the support points it covers, and
+    keeps one rectangle per covered set: the first in enumeration order
+    (lexicographic in the per-axis (lo, hi) pairs), which need not be the
+    set's bounding box. A branch-and-bound search then picks at most k
+    candidates with pairwise disjoint covered sets. Raises CapExceeded when
+    the instance is beyond the exact-search caps.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -88,60 +86,95 @@ def ak_distance_bruteforce(
             f"{n_rects} candidate rectangles exceed the cap {MAX_CANDIDATE_RECTS}"
         )
 
-    # Dedupe rectangles by covered support set; the discrepancy only depends
-    # on the set, and the hull of the set is a canonical representative.
-    by_mask: dict[int, AxisRectangle] = {}
-    axis_pairs = [
-        [(a, b) for a, b in itertools.combinations_with_replacement(coords, 2)]
-        for coords in axis_coords
-    ]
-    for bounds in itertools.product(*axis_pairs):
-        rect = AxisRectangle([b[0] for b in bounds], [b[1] for b in bounds])
-        mask = _cover_mask(rect, points)
-        if mask:
-            by_mask.setdefault(mask, rect)
+    # Per axis, every (lo, hi) pair of coordinates in the order of
+    # combinations_with_replacement, and the points inside [lo, hi] as a
+    # uint64 bit set (bit i = point i). Their ANDs over the axes, in the
+    # order of itertools.product, are the rectangles' covered sets.
+    pts = np.array(points, dtype=float).reshape(n, d)
+    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    bounds, masks = [], np.array([~np.uint64(0)])
+    for j, coords in enumerate(axis_coords):
+        c = np.array(coords)
+        lo, hi = (c[i] for i in np.triu_indices(len(c)))
+        inside = (lo[:, None] <= pts[:, j]) & (pts[:, j] <= hi[:, None])
+        bounds.append((lo, hi))
+        axis_masks = (inside * bit).sum(axis=1, dtype=np.uint64)
+        masks = (masks[:, None] & axis_masks).ravel()
 
-    def mask_value(mask: int) -> float:
-        total = 0.0
-        i = 0
-        mm = mask
-        while mm:
-            if mm & 1:
-                total += pw[i] - qw[i]
-            mm >>= 1
-            i += 1
-        return abs(total)
+    # The discrepancy only depends on the covered set, so keep each nonempty
+    # set once, at its first rectangle, in order of first appearance.
+    nonempty = np.flatnonzero(masks)
+    _, first = np.unique(masks[nonempty], return_index=True)
+    rect_index = nonempty[np.sort(first)]
+    cand = masks[rect_index]
 
-    candidates = sorted(
-        ((mask_value(m), m, r) for m, r in by_mask.items()),
-        key=lambda t: -t[0],
-    )
-    values = [c[0] for c in candidates]
+    # Each set's |sum of p - q| and sum of |p - q|, added point by point
+    # in index order.
+    delta = np.subtract(pw, qw)
+    signed = np.zeros(len(cand))
+    spread = np.zeros(len(cand))
+    for i in range(n):
+        hit = (cand & bit[i]).astype(bool)
+        signed += np.where(hit, delta[i], 0.0)
+        spread += np.where(hit, abs(delta[i]), 0.0)
+    order = np.argsort(-np.abs(signed), kind="stable")
+    values = np.abs(signed)[order].tolist()
+    cand_masks = cand[order].tolist()
+    cand_spread = spread[order].tolist()
+    rect_index = rect_index[order]
+    # Disjoint sets drawn from the unused points add at most the unused
+    # points' sum of |p - q| (triangle inequality). The float sums behind
+    # that bound are off by far less than _REM_SLACK of the total, so the
+    # slack keeps it from cutting a branch that would raise the best value.
+    # When every |p - q| is an integer multiple of one power of two and
+    # those integers sum below 2^53, every sum here is exact: no slack.
+    total_spread = float(np.abs(delta).sum())
+    ratios = [abs(x).as_integer_ratio() for x in delta.tolist()]
+    den = max((b for _, b in ratios), default=1)
+    exact = sum(a * (den // b) for a, b in ratios) < 1 << 53
+    slack = 0.0 if exact else _REM_SLACK * total_spread
     best_value = 0.0
-    best_rects: tuple[AxisRectangle, ...] = ()
+    best: tuple[int, ...] = ()
 
-    def search(start: int, used: int, acc: float, chosen: list, left: int):
-        nonlocal best_value, best_rects
+    def search(
+        start: int, used: int, acc: float, rem: float, chosen: list, left: int
+    ):
+        nonlocal best_value, best
         if acc > best_value:
             best_value = acc
-            best_rects = tuple(c[2] for c in chosen)
-        if left == 0 or start >= len(candidates):
+            best = tuple(chosen)
+        if left == 0 or start >= len(values):
             return
-        # optimistic bound: take the next `left` largest values outright
-        if acc + sum(values[start : start + left]) <= best_value:
+        # optimistic bound: the unused mass, or the next `left` largest values
+        if acc + min(rem + slack, sum(values[start : start + left])) <= best_value:
             return
-        for i in range(start, len(candidates)):
-            val, mask, rect = candidates[i]
+        for i in range(start, len(values)):
+            val = values[i]
             if acc + val * left <= best_value:
                 break
-            if used & mask:
+            if used & cand_masks[i]:
                 continue
-            chosen.append(candidates[i])
-            search(i + 1, used | mask, acc + val, chosen, left - 1)
+            chosen.append(i)
+            search(
+                i + 1,
+                used | cand_masks[i],
+                acc + val,
+                rem - cand_spread[i],
+                chosen,
+                left - 1,
+            )
             chosen.pop()
 
-    search(0, 0, 0.0, [], k)
-    return best_value, RectangleFamily(best_rects, disjoint=True)
+    search(0, 0, 0.0, total_spread, [], k)
+
+    def rect(i: int) -> AxisRectangle:
+        pos = np.unravel_index(rect_index[i], [len(lo) for lo, _ in bounds])
+        return AxisRectangle(
+            [lo[f] for (lo, _), f in zip(bounds, pos)],
+            [hi[f] for (_, hi), f in zip(bounds, pos)],
+        )
+
+    return best_value, RectangleFamily(tuple(map(rect, best)), disjoint=True)
 
 
 def ak_distance_1d(

@@ -347,6 +347,20 @@ def test_discretized_instance_matches_the_bound():
     assert bound * inst.total_mass <= value
 
 
+@pytest.mark.parametrize("k,m", [(8, 1), (16, 1), (16, 3)])
+@pytest.mark.parametrize("cells", [2, 4])
+def test_planted_bound_holds_on_the_exact_pushforward(k, m, cells):
+    # dyadic eps keeps bound * total_mass exact; the witness must fit in 8
+    # boxes, since A_8 can be below the bound of a larger family
+    for seed in range(4):
+        for eps in (1.0, 0.5):
+            inst = gen_hard_instance(k, m, eps, False, np.random.default_rng(seed))
+            p, q, _ = inst.to_distributions(cells_per_square=cells)
+            bound, witness = inst.ak_lower_bound()
+            assert len(witness) <= 8
+            assert bound * inst.total_mass <= ak_distance_bruteforce(p, q, 8)[0]
+
+
 def test_to_distributions_equal_case_sides_agree():
     rng = np.random.default_rng(23)
     inst = gen_hard_instance(16, 1, 0.5, True, rng)

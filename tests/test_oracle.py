@@ -1,5 +1,9 @@
 """Exact A_k oracles and the dominating-pair mass bounds."""
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,9 @@ from aktest import (
     constant_mass_bound,
     expected_pair_mass,
     is_generic,
+    make_instance,
 )
+from aktest.families import _random_edges, _strip_histogram_access
 
 
 def delta(*coords):
@@ -150,6 +156,141 @@ def test_bruteforce_caps():
     )
     with pytest.raises(CapExceeded):
         ak_distance_bruteforce(big, delta(0.5), 2)
+
+
+def reference_bruteforce(p, q, k):
+    """The brute force in its plain form: a Python cover mask per rectangle,
+    the first rectangle of each covered set kept, and a search pruned only
+    by the next `left` values. Returns (value, witness rectangles)."""
+    atoms = {}
+    for side, dist in enumerate((p, q)):
+        for idx, w in dist.mass.items():
+            atoms.setdefault(dist.point_of(idx), [0.0, 0.0])[side] += w
+    points = sorted(atoms)
+    axis_pairs = [
+        itertools.combinations_with_replacement(sorted({pt[j] for pt in points}), 2)
+        for j in range(p.dim)
+    ]
+    by_mask = {}
+    for bounds in itertools.product(*axis_pairs):
+        rect = AxisRectangle([b[0] for b in bounds], [b[1] for b in bounds])
+        mask = sum(1 << i for i, pt in enumerate(points) if rect.contains(pt))
+        if mask:
+            by_mask.setdefault(mask, rect)
+
+    def value(mask):
+        total = 0.0
+        for i, pt in enumerate(points):
+            if mask >> i & 1:
+                total += atoms[pt][0] - atoms[pt][1]
+        return abs(total)
+
+    candidates = sorted(
+        ((value(m), m, r) for m, r in by_mask.items()), key=lambda t: -t[0]
+    )
+    values = [c[0] for c in candidates]
+    best = [0.0, ()]
+
+    def search(start, used, acc, chosen, left):
+        if acc > best[0]:
+            best[:] = [acc, tuple(c[2] for c in chosen)]
+        if left == 0 or acc + sum(values[start : start + left]) <= best[0]:
+            return
+        for i in range(start, len(candidates)):
+            val, mask, _ = candidates[i]
+            if acc + val * left <= best[0]:
+                break
+            if not used & mask:
+                chosen.append(candidates[i])
+                search(i + 1, used | mask, acc + val, chosen, left - 1)
+                chosen.pop()
+
+    search(0, 0, 0.0, [], k)
+    return best[0], best[1]
+
+
+def bruteforce_matching_reference(p, q, k):
+    """ak_distance_bruteforce, asserted equal to the reference bit for bit."""
+    value, family = ak_distance_bruteforce(p, q, k)
+    ref_value, ref_rects = reference_bruteforce(p, q, k)
+    assert value.hex() == ref_value.hex()
+    assert family.rects == ref_rects
+    return value
+
+
+def random_planar_pair(rng, n, side):
+    """n atoms on a side x side lattice, non-dyadic masses, q often zero."""
+    cells = rng.choice(side * side, size=n, replace=False)
+    pts = [(float(c // side), float(c % side)) for c in cells]
+    pw, qw = rng.random(n), rng.random(n) * (rng.random(n) < 0.6)
+    p = DiscreteGridDistribution.from_atoms(dict(zip(pts, pw)))
+    q = DiscreteGridDistribution.from_atoms(dict(zip(pts, qw)))
+    return p, q
+
+
+def test_bruteforce_matches_the_plain_search_on_non_dyadic_masses():
+    rng = np.random.default_rng(83)
+    for _ in range(30):
+        p, q = random_planar_pair(rng, int(rng.integers(16, 25)), 8)
+        bruteforce_matching_reference(p, q, int(rng.integers(1, 9)))
+
+
+def test_bruteforce_keeps_ulp_improvements_when_the_bound_is_tight():
+    # With few atoms A_k often equals the l1 distance, so many families tie
+    # in exact arithmetic and differ only in rounding; the plain search keeps
+    # the first family that rounds highest, and the remaining-mass bound must
+    # not cut it (its slack is what keeps these equal).
+    rng = np.random.default_rng(0)
+    for _ in range(150):
+        p, q = random_planar_pair(rng, int(rng.integers(3, 12)), 4)
+        bruteforce_matching_reference(p, q, int(rng.integers(1, 9)))
+
+
+def test_bruteforce_matches_the_plain_search_on_pinned_instances():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "exact_instances.json"
+    pinned = json.loads(path.read_text())
+    for inst in pinned["instances"]:
+        p, q = (
+            DiscreteGridDistribution.from_atoms(
+                {tuple(map(float, pt)): w / 64 for pt, w in zip(inst["points"], ws)}
+            )
+            for ws in (inst["p_weights"], inst["q_weights"])
+        )
+        assert bruteforce_matching_reference(p, q, pinned["k"]) == inst["value_x64"] / 64
+
+
+def test_hist_far_strips_on_a_grid_are_at_distance_one():
+    # hist-far's own draw: k random strips, p uniform over them and q twice
+    # as heavy on alternate strips. Each strip becomes one column of 8 atoms
+    # (its midpoint along, 8 cell centers across); the masses stay dyadic,
+    # so the l1 distance 1 is exact and the k strips attain it.
+    k = 8
+    for seed in range(3):
+        inst = make_instance("hist-far", k, 0.5, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        edges = _random_edges(k, rng)
+        axis, parity = int(rng.integers(2)), int(rng.integers(2))
+        p_masses = np.full(k, 1.0 / k)
+        q_masses = np.where(np.arange(k) % 2 == parity, 2.0 / k, 0.0)
+        for masses, access in ((p_masses, inst.p_access), (q_masses, inst.q_access)):
+            draws = (
+                draw(500, np.random.default_rng(1))
+                for draw in (_strip_histogram_access(edges, masses, axis), access)
+            )
+            assert np.array_equal(*draws)
+        mids = (edges[:-1] + edges[1:]) / 2
+        across = (np.arange(8) + 0.5) / 8
+
+        def grid(masses):
+            atoms = {}
+            for mid, w in zip(mids, masses):
+                for c in across:
+                    atoms[(mid, c) if axis == 0 else (c, mid)] = w / 8
+            return DiscreteGridDistribution.from_atoms(atoms)
+
+        p, q = grid(p_masses), grid(q_masses)
+        assert len(p.mass) == 64
+        assert ak_distance_bruteforce(p, q, k)[0] == 1.0
 
 
 def test_constant_mass_bounds():
