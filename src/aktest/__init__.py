@@ -9,12 +9,7 @@ and the lower-bound gadget machinery, so every statistical claim can be
 checked at desk scale.
 """
 
-from .covering import (
-    EMPTY,
-    EMPTY_CODE,
-    CoverFamily,
-    SamplePointGrid,
-)
+from .covering import EMPTY, EMPTY_CODE, CoverFamily
 from .distributions import (
     DiscreteGridDistribution,
     load_distribution_spec,
@@ -87,7 +82,6 @@ __all__ = [
     "MonotoneMap",
     "PointSet",
     "RectangleFamily",
-    "SamplePointGrid",
     "SplitMap",
     "SquareEdgeGadget",
     "TestVerdict",

@@ -25,6 +25,7 @@ SampleAccess = Callable[[int, np.random.Generator], np.ndarray]
 DEFAULT_ROBUST_CONST = 4.0  # c_r in m = ceil(c_r sqrt(b) / eps^2)
 DEFAULT_FLATTEN_CONST = 2.0  # c_f in m0 = min(s/100, ceil(c_f eps^(-4/3)))
 _REPEATS = 3  # odd, so the verdict statistic (the median Z) is one run's Z
+_DRAW_CAP = 1 << 23  # largest Poisson mean robust_l2_test draws per side in one array
 
 
 @dataclass(frozen=True)
@@ -225,6 +226,10 @@ def robust_l2_test(
     if eps <= 0 or not math.isfinite(eps):
         raise InvalidInput(f"accuracy must be positive and finite, got {eps}")
     m = math.ceil(c_r * math.sqrt(b) / (eps * eps))
+    if m > _DRAW_CAP:
+        raise InvalidInput(
+            f"l2 test needs Poi({m}) draws per side, above _DRAW_CAP = {_DRAW_CAP}"
+        )
     threshold = m * m * eps * eps / 2.0
     z_values = []
     used = 0

@@ -285,10 +285,12 @@ def sample_order_tuple_cells(
         pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, codes.reshape(-1), rng)
         return _encode_tuples(pts.reshape(trials, m, 2), labels, m)
 
-    labels = rng.integers(2, size=(trials, m))  # 0 = P, 1 = Q
+    # int8 copies of the int64 draws: the same stream, an eighth the memory
+    labels = rng.integers(2, size=(trials, m)).astype(np.int8)  # 0 = P, 1 = Q
     yes_cells = world(np.full((trials, m), 2, dtype=np.int8), labels)
-    labels = rng.integers(2, size=(trials, m))
-    orient = rng.integers(2, size=(trials, 1))  # 0: P draws T, Q draws R
+    labels = rng.integers(2, size=(trials, m)).astype(np.int8)
+    # orient 0: P draws T, Q draws R
+    orient = rng.integers(2, size=(trials, 1)).astype(np.int8)
     return yes_cells, world(labels ^ orient, labels)
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .covering import CoverFamily, SamplePointGrid
+from .covering import CoverFamily
 from .errors import InvalidInput
 from .flatten import (
     DEFAULT_FLATTEN_CONST,
@@ -317,7 +317,6 @@ def _encoded_access(
     side_access: PointAccess,
     lookups: list[LadderLookup],
     cover: CoverFamily,
-    d: int,
 ) -> Callable[[int, np.random.Generator], np.ndarray]:
     """Wrap a point access to emit induced cover-rectangle codes.
 
@@ -326,7 +325,7 @@ def _encoded_access(
     LadderLookup.positions). Position 0 is below the grid and any gap
     beyond the padded ladder is above it; both map to the empty outcome.
     """
-    top_gap = cover.m - 1
+    top_gap, d = cover.m - 1, cover.dim
 
     def access(n: int, rng: np.random.Generator) -> np.ndarray:
         pts = _draw(side_access, n, d, rng)
@@ -374,14 +373,12 @@ def ak_closeness_test(
             "samples at this budget"
         )
     size = _padded_size(n)
-    ladder_axis = tuple(float(v) for v in range(1, size + 1))
-    grid = SamplePointGrid((ladder_axis,) * d)
-    cover = CoverFamily(grid)
+    cover = CoverFamily(size - 1, d)
     lookups = [LadderLookup(batch[:, j]) for j in range(d)]
     s = flatten_set_count(config, m)
     verdict = flatten_closeness(
-        _encoded_access(p_access, lookups, cover, d),
-        _encoded_access(q_access, lookups, cover, d),
+        _encoded_access(p_access, lookups, cover),
+        _encoded_access(q_access, lookups, cover),
         s,
         math.sqrt(kap),
         rng,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covering import CoverFamily, SamplePointGrid
+from .covering import CoverFamily
 from .flatten import SplitMap, build_split_map
 from .geometry import (
     AxisRectangle,
@@ -51,23 +51,13 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # ---- covering ---------------------------------------------------------------
 
 
-def _piece_cells(cover: CoverFamily, code_axes) -> set[tuple[int, ...]]:
-    """Grid cells (gap tuples) covered by one family rectangle."""
-    ranges = []
-    for level, index in code_axes:
-        width = cover.m >> level
-        ranges.append(range(index * width, (index + 1) * width))
-    return set(itertools.product(*ranges))
-
-
 def run_covering_suite(seed: int = 0, rects_per_case: int = 100) -> list[CheckResult]:
     """Counting, membership, and decomposition facts of the dyadic cover."""
     rng = np.random.default_rng((seed, 0xC0))
     results = []
     for m, d in itertools.product((4, 8, 16), (1, 2, 3)):
-        axes = [np.sort(rng.random(m + 1)) for _ in range(d)]
-        cover = CoverFamily(SamplePointGrid(axes))
-        per_axis = sum(len(cover.intervals(0, lv)) for lv in range(1, cover.levels + 1))
+        cover = CoverFamily(m, d)
+        per_axis = len({iv for g in range(m) for iv in cover.containing_intervals(g)})
         results.append(
             _check(
                 f"family-size m={m} d={d}",
@@ -75,9 +65,7 @@ def run_covering_suite(seed: int = 0, rects_per_case: int = 100) -> list[CheckRe
                 f"per-axis rectangles {per_axis}, expected {2 * m - 2}",
             )
         )
-        counts = {
-            cover.axis_membership_count(j, g) for j in range(d) for g in range(m)
-        }
+        counts = {cover.axis_membership_count(g) for g in range(m)}
         results.append(
             _check(
                 f"membership m={m} d={d}",
@@ -91,23 +79,15 @@ def run_covering_suite(seed: int = 0, rects_per_case: int = 100) -> list[CheckRe
         worst = 0
         failures = 0
         for _ in range(rects_per_case):
-            lo_idx = [int(rng.integers(0, m)) for _ in range(d)]
-            hi_idx = [int(rng.integers(lo, m)) + 1 for lo in lo_idx]
-            rect = AxisRectangle(
-                [axes[j][lo_idx[j]] for j in range(d)],
-                [axes[j][hi_idx[j]] for j in range(d)],
-            )
-            pieces = cover.decompose_grid_rect(rect)
+            lo = [int(rng.integers(0, m)) for _ in range(d)]
+            hi = [int(rng.integers(a, m)) + 1 for a in lo]
+            pieces = cover.decompose_grid_rect(lo, hi)
             worst = max(worst, len(pieces))
-            target = set(
-                itertools.product(
-                    *(range(lo_idx[j], hi_idx[j]) for j in range(d))
-                )
-            )
+            target = set(itertools.product(*map(range, lo, hi)))
             seen: set[tuple[int, ...]] = set()
             ok = len(pieces) <= cap
             for piece in pieces:
-                cells = _piece_cells(cover, piece)
+                cells = set(itertools.product(*cover.gap_ranges(piece)))
                 if seen & cells:
                     ok = False
                 seen |= cells

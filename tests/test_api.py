@@ -8,6 +8,7 @@ REMOVED = (
     "P_LABEL",
     "Q_LABEL",
     "RankedSampleSet",
+    "SamplePointGrid",
     "build_grid",
     "discrepancy_density",
     "mixture_half",

@@ -1,4 +1,4 @@
-"""Dyadic covering families over sample-point grids."""
+"""Dyadic covering families over the integer gap grid."""
 
 import functools
 import itertools
@@ -9,158 +9,127 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from aktest import (
-    EMPTY,
-    EMPTY_CODE,
-    AxisRectangle,
-    CoverFamily,
-    DiscreteGridDistribution,
-    InvalidInput,
-    SamplePointGrid,
-)
+from aktest import EMPTY, EMPTY_CODE, CoverFamily, InvalidInput
 
 
-def cover_1d(values=(1.0, 2.0, 3.0, 4.0, 5.0)):
-    return CoverFamily(SamplePointGrid([values]))
+def cover_1d():
+    return CoverFamily(4, 1)
 
 
-def test_grid_size_validation():
-    with pytest.raises(InvalidInput):
-        SamplePointGrid([(1.0, 2.0)])  # too small
-    with pytest.raises(InvalidInput):
-        SamplePointGrid([(1.0, 2.0, 3.0, 4.0)])  # 3 gaps, not a power of two
-    with pytest.raises(InvalidInput):
-        SamplePointGrid([(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)])
-    with pytest.raises(InvalidInput):
-        SamplePointGrid([(1.0, 1.0, 2.0)])
-    grid = SamplePointGrid([(0.0, 1.0, 3.0)])
-    assert grid.m == 2 and grid.levels == 1
+def test_cover_family_validation():
+    bad = [
+        (3, 1),  # not a power of two
+        (12, 2),
+        (1, 1),  # m < 2
+        (0, 1),
+        (-4, 1),
+        (4, 0),  # d < 1
+        (4, -1),
+        (4.0, 1),  # not ints
+        (4, 1.0),
+        ("4", 1),
+        (True, 1),
+        (4, True),
+        (np.int64(4), 1),
+        (256, 7),  # 7 axes of 510 intervals need 63 bits
+    ]
+    for m, d in bad:
+        with pytest.raises(InvalidInput):
+            CoverFamily(m, d)
+    assert CoverFamily(2, 1).levels == 1
 
 
 def test_level_structure_m4():
     cover = cover_1d()
+    assert (cover.m, cover.dim) == (4, 1)
     assert cover.levels == 2
     assert cover.per_axis_count == 6
     assert cover.rects_per_point == 2
-    assert cover.intervals(0, 1) == [(1.0, 3.0), (3.0, 5.0)]
-    assert cover.intervals(0, 2) == [(1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0)]
-
-
-def test_interval_bounds_are_half_open_except_last():
-    cover = cover_1d()
-    lo, hi, closed = cover.interval_bounds(0, 2, 0)
-    assert (lo, hi, closed) == (1.0, 2.0, False)
-    lo, hi, closed = cover.interval_bounds(0, 2, 3)
-    assert (lo, hi, closed) == (4.0, 5.0, True)
-    lo, hi, closed = cover.interval_bounds(0, 1, 1)
-    assert (lo, hi, closed) == (3.0, 5.0, True)
-
-
-def test_gaps_of_points():
-    cover = cover_1d()
-    pts = np.array([[0.5], [1.0], [1.5], [3.0], [4.9], [5.0], [5.1]])
-    gaps = cover.gaps_of_points(pts)
-    # outside the span maps to -1; the top grid value joins the last gap
-    assert list(gaps[:, 0]) == [-1, 0, 0, 2, 3, 3, -1]
+    assert cover.gap_ranges(((1, 1),)) == (range(2, 4),)
+    assert [cover.gap_ranges(((2, t),)) for t in range(4)] == [
+        (range(t, t + 1),) for t in range(4)
+    ]
+    for bad in [((0, 0),), ((3, 0),), ((1, 2),), ((1, 0), (1, 0))]:
+        with pytest.raises(InvalidInput):
+            cover.gap_ranges(bad)
 
 
 def test_membership_count_equals_levels():
     for m in (4, 8, 16):
-        values = tuple(float(v) for v in range(m + 1))
-        cover = CoverFamily(SamplePointGrid([values]))
+        cover = CoverFamily(m, 1)
         for gap in range(m):
-            assert cover.axis_membership_count(0, gap) == cover.levels
-            assert len(cover.containing_intervals(0, gap)) == cover.levels
+            assert cover.axis_membership_count(gap) == cover.levels
+            assert len(cover.containing_intervals(gap)) == cover.levels
 
 
 def test_containing_ids_count_is_levels_to_the_d():
     rng = np.random.default_rng(2)
     for d in (1, 2, 3):
-        axes = [tuple(np.sort(rng.random(9))) for _ in range(d)]
-        cover = CoverFamily(SamplePointGrid(axes))
-        z = [float(np.mean(ax[:2])) for ax in axes]
-        ids = cover.containing_ids(z)
+        cover = CoverFamily(8, d)
+        gaps = tuple(int(g) for g in rng.integers(0, 8, size=d))
+        ids = cover.containing_ids(gaps)
         assert len(ids) == cover.levels**d == cover.rects_per_point
         for rect_id in ids:
-            assert cover.id_bounds(rect_id).contains(z)
+            assert all(g in r for g, r in zip(gaps, cover.gap_ranges(rect_id)))
 
 
 def test_containing_ids_empty_outside_span():
-    cover = cover_1d()
-    assert cover.containing_ids((0.0,)) == []
-    assert cover.containing_ids((6.0,)) == []
+    assert cover_1d().containing_ids((-1,)) == []
+    assert CoverFamily(4, 2).containing_ids((0, -1)) == []
+    with pytest.raises(InvalidInput):
+        cover_1d().containing_ids((4,))  # past the last gap
 
 
 def test_decompose_family_rect_is_itself():
-    cover = cover_1d()
-    pieces = cover.decompose_grid_rect(AxisRectangle((1.0,), (3.0,)))
+    pieces = cover_1d().decompose_grid_rect((0,), (2,))
     assert pieces == [((1, 0),)]
 
 
 def test_decompose_full_span_m4():
-    cover = cover_1d()
-    pieces = cover.decompose_grid_rect(AxisRectangle((1.0,), (5.0,)))
+    pieces = cover_1d().decompose_grid_rect((0,), (4,))
     assert sorted(pieces) == [((1, 0),), ((1, 1),)]
 
 
 def test_decompose_unaligned_run():
-    # gaps 0..2 (values v1..v4) need one level-1 and one level-2 interval
-    cover = cover_1d()
-    pieces = cover.decompose_grid_rect(AxisRectangle((1.0,), (4.0,)))
+    # gaps 0..2 need one level-1 and one level-2 interval
+    pieces = cover_1d().decompose_grid_rect((0,), (3,))
     assert sorted(pieces) == [((1, 0),), ((2, 2),)]
 
 
 def test_decompose_rejects_non_grid_endpoints():
     cover = cover_1d()
+    boxes = [((0.5,), (2,)), ((1,), (1,)), ((2,), (1,)), ((-1,), (2,)), ((0,), (5,))]
+    for lo, hi in boxes:
+        with pytest.raises(InvalidInput):
+            cover.decompose_grid_rect(lo, hi)
     with pytest.raises(InvalidInput):
-        cover.decompose_grid_rect(AxisRectangle((1.5,), (3.0,)))
-    with pytest.raises(InvalidInput):
-        cover.decompose_grid_rect(AxisRectangle((2.0,), (2.0,)))  # degenerate
+        cover.decompose_grid_rect((0, 0), (1, 1))  # dimension mismatch
 
 
 def test_decompose_partitions_cells_exactly():
     rng = np.random.default_rng(9)
     for d in (1, 2):
-        axes = [tuple(np.sort(rng.random(9))) for _ in range(d)]
-        cover = CoverFamily(SamplePointGrid(axes))
+        cover = CoverFamily(8, d)
         for _ in range(40):
-            lo_idx = [int(rng.integers(0, 8)) for _ in range(d)]
-            hi_idx = [int(rng.integers(lo + 1, 9)) for lo in lo_idx]
-            rect = AxisRectangle(
-                [axes[j][lo_idx[j]] for j in range(d)],
-                [axes[j][hi_idx[j]] for j in range(d)],
-            )
-            pieces = cover.decompose_grid_rect(rect)
+            lo = [int(rng.integers(0, 8)) for _ in range(d)]
+            hi = [int(rng.integers(a + 1, 9)) for a in lo]
+            pieces = cover.decompose_grid_rect(lo, hi)
             assert len(pieces) <= (2 * cover.levels) ** d
             seen = set()
             for piece in pieces:
-                cells = set(
-                    itertools.product(
-                        *(
-                            range(idx << (cover.levels - lv), (idx + 1) << (cover.levels - lv))
-                            for lv, idx in piece
-                        )
-                    )
-                )
+                cells = set(itertools.product(*cover.gap_ranges(piece)))
                 assert not (seen & cells)
                 seen |= cells
-            target = set(
-                itertools.product(*(range(a, b) for a, b in zip(lo_idx, hi_idx)))
-            )
-            assert seen == target
+            assert seen == set(itertools.product(*map(range, lo, hi)))
 
 
 def test_induced_distribution_point_mass():
-    cover = cover_1d()
-    dist = DiscreteGridDistribution.from_atoms({(1.5,): 1.0})
-    induced = cover.induced_distribution(dist)
+    induced = cover_1d().induced_distribution({(0,): 1.0})
     assert induced == {((1, 0),): 0.5, ((2, 0),): 0.5}
 
 
 def test_induced_distribution_outside_goes_to_empty():
-    cover = cover_1d()
-    dist = DiscreteGridDistribution.from_atoms({(0.5,): 0.25, (1.5,): 0.75})
-    induced = cover.induced_distribution(dist)
+    induced = cover_1d().induced_distribution({(-1,): 0.25, (0,): 0.75})
     assert induced[EMPTY] == 0.25
     assert sum(induced.values()) == pytest.approx(1.0)
 
@@ -168,48 +137,35 @@ def test_induced_distribution_outside_goes_to_empty():
 def test_induced_mass_identity_on_family_rects():
     # p^F(id) * levels^d recovers p(R) exactly for every family rectangle
     rng = np.random.default_rng(23)
-    axes = [tuple(np.sort(rng.random(9))) for _ in range(2)]
-    cover = CoverFamily(SamplePointGrid(axes))
-    atoms = {}
+    cover = CoverFamily(8, 2)
+    mass = {}
     for _ in range(12):
-        x = float(rng.uniform(axes[0][0], axes[0][-1]))
-        y = float(rng.uniform(axes[1][0], axes[1][-1]))
-        atoms[(x, y)] = float(rng.integers(1, 8)) / 16.0
-    dist = DiscreteGridDistribution.from_atoms(atoms)
-    induced = cover.induced_distribution(dist)
-    share = cover.rects_per_point
-    for lx in range(1, cover.levels + 1):
-        for ix in range(len(cover.intervals(0, lx))):
-            for ly in range(1, cover.levels + 1):
-                for iy in range(len(cover.intervals(1, ly))):
-                    rect_id = ((lx, ix), (ly, iy))
-                    direct = dist.mass_of(cover.id_bounds(rect_id))
-                    assert induced.get(rect_id, 0.0) * share == pytest.approx(
-                        direct, abs=1e-12
-                    )
-
-
-def test_encode_decode_flat_round_trip():
-    cover = cover_1d((0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
-    for level in range(1, cover.levels + 1):
-        for index in range(len(cover.intervals(0, level))):
-            flat = cover.encode_flat(np.array([level]), np.array([index]))[0]
-            assert 0 <= flat < cover.per_axis_count
-            assert cover.decode_flat(int(flat)) == (level, index)
+        gaps = tuple(int(g) for g in rng.integers(0, 8, size=2))
+        mass[gaps] = mass.get(gaps, 0.0) + float(rng.integers(1, 8)) / 16.0
+    induced = cover.induced_distribution(mass)
+    axis_ids = [(lv, t) for lv in range(1, cover.levels + 1) for t in range(1 << lv)]
+    for rect_id in itertools.product(axis_ids, repeat=2):
+        ranges = cover.gap_ranges(rect_id)
+        direct = sum(
+            w for gaps, w in mass.items() if all(g in r for g, r in zip(gaps, ranges))
+        )
+        assert induced.get(rect_id, 0.0) * cover.rects_per_point == pytest.approx(
+            direct, abs=1e-12
+        )
 
 
 def test_sample_ids_encoded_matches_containment():
     rng = np.random.default_rng(29)
-    axes = [tuple(np.sort(rng.random(5))) for _ in range(2)]
-    cover = CoverFamily(SamplePointGrid(axes))
-    pts = np.column_stack(
-        [rng.uniform(ax[0], ax[-1], size=200) for ax in axes]
-    )
-    gaps = cover.gaps_of_points(pts)
+    cover = CoverFamily(4, 2)
+    gaps = rng.integers(0, 4, size=(2000, 2))
     codes = cover.sample_ids_encoded(gaps, rng)
-    for pt, code in zip(pts, codes):
+    decoded = set()
+    for row, code in zip(gaps.tolist(), codes):
         rect_id = cover.decode_id(int(code))
-        assert rect_id in cover.containing_ids(pt)
+        assert rect_id in cover.containing_ids(row)
+        decoded.add(rect_id)
+    # every family rectangle came back, so decoding inverts every code
+    assert len(decoded) == cover.per_axis_count**2
 
 
 def test_sample_ids_encoded_empty_rows():
@@ -224,15 +180,15 @@ def test_sample_ids_encoded_empty_rows():
 
 def test_sampled_ids_match_exact_induced_distribution():
     # chi-squared goodness of fit of the sampling path against the exact
-    # induced measure of a 3-atom distribution, 10^4 draws
+    # induced measure of a 3-cell distribution, 10^4 draws
     rng = np.random.default_rng(37)
     cover = cover_1d()
-    dist = DiscreteGridDistribution.from_atoms({(1.2,): 0.25, (2.5,): 0.25, (4.5,): 0.5})
-    exact = cover.induced_distribution(dist)
+    mass = {(0,): 0.25, (1,): 0.25, (3,): 0.5}
+    exact = cover.induced_distribution(mass)
 
     n = 10_000
-    pts = dist.sample(n, rng)
-    gaps = cover.gaps_of_points(pts)
+    cells = np.array(list(mass))
+    gaps = cells[rng.choice(len(cells), size=n, p=list(mass.values()))]
     codes = cover.sample_ids_encoded(gaps, rng)
     observed = {}
     for code in codes:
@@ -248,16 +204,16 @@ def test_sampled_ids_match_exact_induced_distribution():
 
 
 def test_id_space_cap():
-    values = tuple(float(v) for v in range(1025))  # m = 1024, 2046 intervals/axis
+    # m = 1024 has 2046 intervals per axis
     with pytest.raises(InvalidInput):
-        CoverFamily(SamplePointGrid([values] * 7))
+        CoverFamily(1024, 7)
     # five axes still fit in the int64 id space
-    CoverFamily(SamplePointGrid([values] * 5))
+    CoverFamily(1024, 5)
 
 
 @functools.cache
 def cover_at(d, m):
-    return CoverFamily(SamplePointGrid([tuple(float(v) for v in range(m + 1))] * d))
+    return CoverFamily(m, d)
 
 
 # (d, m) pairs near the 62-bit code cap: d * bit_length(2m - 2) is 62, 45, 60
@@ -270,12 +226,12 @@ def test_encoded_ids_round_trip_at_the_code_cap(pair, seed):
     d, m = pair
     cover = cover_at(d, m)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, m, size=(4, d))
-    pts[0] = rng.integers(0, m + 1, size=d)  # grid values, the top one included
-    codes = cover.sample_ids_encoded(cover.gaps_of_points(pts), rng)
+    gaps = rng.integers(0, m, size=(4, d))
+    gaps[0] = m - 1  # the top gap on every axis gives the largest codes
+    codes = cover.sample_ids_encoded(gaps, rng)
     assert int(codes.max()) < 2**62
-    for pt, code in zip(pts, codes):
-        assert cover.decode_id(int(code)) in cover.containing_ids(pt)
+    for row, code in zip(gaps.tolist(), codes):
+        assert cover.decode_id(int(code)) in cover.containing_ids(row)
 
 
 def test_code_cap_is_62_bits():

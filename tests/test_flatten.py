@@ -203,6 +203,11 @@ def test_robust_l2_parameter_validation():
         robust_l2_test(access, access, b=0.0, eps=0.5, rng=rng)
     with pytest.raises(InvalidInput):
         robust_l2_test(access, access, b=1.0, eps=0.0, rng=rng)
+    # m = 4 * 10^8 per side is over the draw cap; refused before any draw
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInput, match="_DRAW_CAP"):
+        robust_l2_test(access, access, b=1.0, eps=1e-4, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 def test_robust_l2_budget_and_threshold():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from aktest import (
     hypothesis_equivalence_test,
     kappa,
     load_practical_constants,
+    make_instance,
     sample_budget,
     tv_histogram_test,
 )
@@ -195,6 +197,17 @@ def test_empty_batch_is_reported():
             assert "empty" in str(err)
             return
     pytest.fail("no seed produced an empty mixture batch")
+
+
+def test_l2_draw_cap_stops_a_shrunken_flattening():
+    # s_multiplier 0.5 leaves a one-point flattening, so the l2 test would
+    # need Poi(m) draws per side far above the cap, several GB of codes
+    inst = make_instance("uniform-equal", 8, 1.0, np.random.default_rng(0))
+    config = TesterConfig.practical(8, 2, 1.0, s_multiplier=0.5, seed=0)
+    started = time.perf_counter()
+    with pytest.raises(InvalidInput, match="_DRAW_CAP"):
+        ak_closeness_test(inst.p_access, inst.q_access, config)
+    assert time.perf_counter() - started < 10
 
 
 def test_verdict_invariant_under_monotone_reparametrization():
