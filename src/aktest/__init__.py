@@ -13,7 +13,6 @@ from .covering import EMPTY, EMPTY_CODE, CoverFamily
 from .distributions import (
     DiscreteGridDistribution,
     load_distribution_spec,
-    sample_poisson,
     save_distribution_spec,
 )
 from .errors import CapExceeded, InvalidInput
@@ -28,7 +27,6 @@ from .flatten import (
 )
 from .geometry import (
     AxisRectangle,
-    PointSet,
     decompose_complement,
     erdos_szekeres_threshold,
     find_dominating_triple,
@@ -46,7 +44,6 @@ from .hardness import (
     sample_monotone_map,
 )
 from .oracle import (
-    RectangleFamily,
     ak_distance_1d,
     ak_distance_bruteforce,
     constant_mass_bound,
@@ -80,8 +77,6 @@ __all__ = [
     "HardInstance",
     "InvalidInput",
     "MonotoneMap",
-    "PointSet",
-    "RectangleFamily",
     "SplitMap",
     "SquareEdgeGadget",
     "TestVerdict",
@@ -113,7 +108,6 @@ __all__ = [
     "robust_l2_test",
     "sample_budget",
     "sample_monotone_map",
-    "sample_poisson",
     "save_distribution_spec",
     "tv_histogram_test",
 ]

@@ -119,7 +119,7 @@ def cmd_oracle(p_spec, q_spec, k):
     try:
         p = load_distribution_spec(p_spec)
         q = load_distribution_spec(q_spec)
-        value, family = ak_distance_bruteforce(p, q, k)
+        value, witness = ak_distance_bruteforce(p, q, k)
     except InvalidInput as err:
         raise _usage(err) from err
     click.echo(
@@ -127,9 +127,7 @@ def cmd_oracle(p_spec, q_spec, k):
             {
                 "value": value,
                 "k": k,
-                "witness": [
-                    {"lo": list(r.lo), "hi": list(r.hi)} for r in family.rects
-                ],
+                "witness": [{"lo": list(r.lo), "hi": list(r.hi)} for r in witness],
             }
         )
     )
@@ -159,7 +157,7 @@ def cmd_gen_hard(k, m, eps, case, seed, out, cells_per_square):
         raise _usage(err) from err
     meta["seed"] = seed
     meta["ak_lower_bound"] = bound
-    meta["witness_rectangles"] = len(witness.rects)
+    meta["witness_rectangles"] = len(witness)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_distribution_spec(p, out_dir / "p.json", normalized=False)

@@ -120,16 +120,6 @@ class DiscreteGridDistribution:
         return pts[idx]
 
 
-def sample_poisson(
-    dist: DiscreteGridDistribution, m: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Poissonized sampling: N ~ Poi(m * ||mu||_1), then N iid draws, shape (N, d)."""
-    if m <= 0:
-        raise InvalidInput(f"Poisson budget must be positive, got {m}")
-    n = int(rng.poisson(m * dist.total_mass))
-    return dist.sample(n, rng)
-
-
 def load_distribution_spec(path: str) -> DiscreteGridDistribution:
     """Read the distribution-spec file format.
 

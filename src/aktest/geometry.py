@@ -87,35 +87,6 @@ def is_generic(points: Iterable[Sequence[float]]) -> bool:
     return all(len({p[j] for p in pts}) == len(pts) for j in range(d))
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A finite point set tagged with whether it is generic.
-
-    ``generic=True`` is validated: no two points may share a coordinate on
-    any axis (float equality; this is the working definition everywhere in
-    the package, since the rank transform produces exactly this situation).
-    """
-
-    points: tuple[Point, ...]
-    generic: bool = True
-
-    def __init__(self, points: Iterable[Sequence[float]], generic: bool = True):
-        pts = tuple(tuple(float(v) for v in p) for p in points)
-        if not pts:
-            raise InvalidInput("empty point set")
-        if generic and not is_generic(pts):
-            raise InvalidInput("point set is not generic (shared coordinate)")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "generic", generic)
-
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def decompose_complement(
     outer: AxisRectangle, inner: AxisRectangle
 ) -> list[AxisRectangle]:
@@ -146,19 +117,21 @@ def decompose_complement(
 
 
 def find_dominating_triple(
-    points: PointSet,
+    points: Iterable[Sequence[float]],
 ) -> tuple[Point, Point, Point] | None:
     """Search for points x, y, z with z strictly inside rect(x, y).
 
-    Exhaustive over all ordered-pair/third-point combinations; the set must
-    be generic, so closed containment of a distinct third point already
-    implies strict per-axis interiority. Returns the first triple found (a
-    deterministic function of the input order) or None. Any generic set of
-    at least 2^(2^(d-1)) + 1 points contains such a triple.
+    Exhaustive over all ordered-pair/third-point combinations. The points
+    must be generic (no two share a coordinate on any axis, by float
+    equality; InvalidInput otherwise), so closed containment of a distinct
+    third point already implies strict per-axis interiority. Returns the
+    first triple found (a deterministic function of the input order) or
+    None. Any generic set of at least 2^(2^(d-1)) + 1 points contains such
+    a triple.
     """
-    if not points.generic:
+    pts = [tuple(float(v) for v in p) for p in points]
+    if not is_generic(pts):
         raise InvalidInput("dominating-triple search requires a generic point set")
-    pts = points.points
     for x, y in itertools.combinations(pts, 2):
         box = rect_from_points(x, y)
         for z in pts:

@@ -21,7 +21,6 @@ import numpy as np
 from .distributions import DiscreteGridDistribution
 from .errors import InvalidInput
 from .geometry import AxisRectangle
-from .oracle import RectangleFamily
 
 VARIANT_T = "T"
 VARIANT_R = "R"
@@ -410,19 +409,14 @@ class HardInstance:
 
         return access
 
-    def sample_poisson(self, side: str, budget: float, rng: np.random.Generator):
-        """Poissonized draw: N ~ Poi(budget * total mass), then N iid points."""
-        n = int(rng.poisson(budget * self.total_mass))
-        return self.sampler(side)(n, rng)
-
-    def ak_lower_bound(self) -> tuple[float, RectangleFamily]:
+    def ak_lower_bound(self) -> tuple[float, tuple[AxisRectangle, ...]]:
         """Certified A_k discrepancy of the normalized pair.
 
         Sums the exact per-quadrant one-sided discrepancies over the light
-        squares (four sub-rectangles each) and normalizes by the common
-        total mass. Only as many squares as fit within k rectangles are
-        counted, which keeps the bound valid for any k. Zero in the equal
-        case.
+        squares (four sub-rectangles each, returned as the witness) and
+        normalizes by the common total mass. Only as many squares as fit
+        within k rectangles are counted, which keeps the bound valid for
+        any k. Zero in the equal case.
         """
         oriented = [
             sq for sq in self.squares if not sq.heavy and sq.p_variant != sq.q_variant
@@ -444,7 +438,7 @@ class HardInstance:
                     total += diff
         mass = self.total_mass
         bound = total / mass if mass > 0 else 0.0
-        return bound, RectangleFamily(tuple(rects), disjoint=True)
+        return bound, tuple(rects)
 
     def to_distributions(
         self, cells_per_square: int = 8
@@ -540,40 +534,44 @@ _MIN_W = math.exp(math.e)
 class MonotoneMap:
     """x -> exp(x * exp(lam1)) * exp(lam2) + lam3 on the domain [0, 1].
 
+    Each parameter is a float for one map, or an array of equal length for
+    n maps; every method then broadcasts over the maps.
+
     lam3 is stored as its logarithm: its sampling range [0, exp(2 log^3 W)]
     exceeds float range for W beyond about 1200, so the map is evaluated in
     log space wherever possible and materializing f(x) itself raises
     OverflowError with the offending magnitude.
     """
 
-    lam1: float
-    lam2: float
-    log_lam3: float
+    lam1: float | np.ndarray
+    lam2: float | np.ndarray
+    log_lam3: float | np.ndarray
     scale: float  # the W the parameters were drawn for
 
-    def _g(self, x: float) -> float:
+    def _g(self, x: float):
         if not 0.0 <= x <= 1.0:
             raise InvalidInput(f"map domain is [0, 1], got {x}")
-        return x * math.exp(self.lam1) + self.lam2
+        return x * np.exp(self.lam1) + self.lam2
 
-    def apply(self, x: float) -> float:
+    def apply(self, x: float):
         g = self._g(x)
-        if g > math.log(np.finfo(float).max):
-            raise OverflowError(f"exp({g:.6g}) exceeds float range")
-        if self.log_lam3 > math.log(np.finfo(float).max):
+        top = math.log(np.finfo(float).max)
+        if np.max(g) > top:
+            raise OverflowError(f"exp({np.max(g):.6g}) exceeds float range")
+        if np.max(self.log_lam3) > top:
             raise OverflowError(
-                f"additive term exp({self.log_lam3:.6g}) exceeds float range"
+                f"additive term exp({np.max(self.log_lam3):.6g}) exceeds float range"
             )
-        return math.exp(g) + math.exp(self.log_lam3)
+        return np.exp(g) + np.exp(self.log_lam3)
 
-    def log_gap(self, x: float, y: float) -> float:
+    def log_gap(self, x: float, y: float):
         """log(f(y) - f(x)) for x < y, stable at any scale."""
         gx, gy = self._g(x), self._g(y)
-        if not gx < gy:
+        if not np.all(gx < gy):
             raise InvalidInput(f"need x < y, got {x} >= {y}")
-        return gy + math.log1p(-math.exp(gx - gy))
+        return gy + np.log1p(-np.exp(gx - gy))
 
-    def triple_coords(self, a: float, b: float, c: float) -> tuple[float, float, float]:
+    def triple_coords(self, a: float, b: float, c: float) -> tuple:
         """(log log A, log B, log C) for the gap ratio A, gap B, offset C.
 
         A = (f(c) - f(a)) / (f(b) - f(a)) > 1, B = f(b) - f(a), C = f(a).
@@ -583,59 +581,30 @@ class MonotoneMap:
         if not a < b < c:
             raise InvalidInput(f"need a < b < c, got {(a, b, c)}")
         gab = self.log_gap(a, b)
-        gac = self.log_gap(a, c)
-        log_ratio = gac - gab
-        if log_ratio <= 0:
+        log_ratio = self.log_gap(a, c) - gab
+        if np.any(log_ratio <= 0):
             raise InvalidInput("gap ratio rounded to <= 1; triple too degenerate")
-        return math.log(log_ratio), gab, float(np.logaddexp(self._g(a), self.log_lam3))
+        return np.log(log_ratio), gab, np.logaddexp(self._g(a), self.log_lam3)
 
 
-def sample_monotone_map(scale: float, rng: np.random.Generator) -> MonotoneMap:
+def sample_monotone_map(
+    scale: float, rng: np.random.Generator, size: int | None = None
+) -> MonotoneMap:
     """Draw map parameters for obfuscation strength W = scale.
 
     lam1 ~ U[log log W, 2 log log W], lam2 ~ U[0, log^3 W],
     lam3 ~ U[0, exp(2 log^3 W)] (stored in log space). Requires W > e^e.
+    size follows numpy: None draws one map, an int that many maps at once.
     """
     if not scale > _MIN_W:
         raise InvalidInput(f"scale must exceed e^e = {_MIN_W:.4f}, got {scale}")
     loglog = math.log(math.log(scale))
     log3 = math.log(scale) ** 3
-    lam1 = float(rng.uniform(loglog, 2 * loglog))
-    lam2 = float(rng.uniform(0.0, log3))
-    u = float(rng.random())
-    log_lam3 = -math.inf if u == 0.0 else 2.0 * log3 + math.log(u)
-    return MonotoneMap(lam1, lam2, log_lam3, float(scale))
-
-
-def obfuscation_coords(
-    scale: float,
-    triple: tuple[float, float, float],
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized triple_coords over n freshly drawn maps, shape (n, 3)."""
-    a, b, c = triple
-    if not 0 <= a < b < c <= 1:
-        raise InvalidInput(f"need 0 <= a < b < c <= 1, got {triple}")
-    if not scale > _MIN_W:
-        raise InvalidInput(f"scale must exceed e^e, got {scale}")
-    loglog = math.log(math.log(scale))
-    log3 = math.log(scale) ** 3
-    lam1 = rng.uniform(loglog, 2 * loglog, size=n)
-    lam2 = rng.uniform(0.0, log3, size=n)
+    lam1 = rng.uniform(loglog, 2 * loglog, size)
+    lam2 = rng.uniform(0.0, log3, size)
     with np.errstate(divide="ignore"):  # u == 0 -> lam3 == 0 is legal
-        log_lam3 = 2.0 * log3 + np.log(rng.random(n))
-    e1 = np.exp(lam1)
-    ga = a * e1 + lam2
-    gb = b * e1 + lam2
-    gc = c * e1 + lam2
-    gab = gb + np.log1p(-np.exp(ga - gb))
-    gac = gc + np.log1p(-np.exp(ga - gc))
-    coords = np.empty((n, 3))
-    coords[:, 0] = np.log(gac - gab)
-    coords[:, 1] = gab
-    coords[:, 2] = np.logaddexp(ga, log_lam3)
-    return coords
+        log_lam3 = 2.0 * log3 + np.log(rng.random(size))
+    return MonotoneMap(lam1, lam2, log_lam3, float(scale))
 
 
 _OBFUSCATION_BINS = 8  # per coordinate
@@ -654,8 +623,10 @@ def obfuscation_tv(
     from the pooled per-coordinate ranges) feeds the debiased TV estimator.
     Larger scales obfuscate harder, so the estimate shrinks as W grows.
     """
-    c1 = obfuscation_coords(scale, triple_one, n, rng)
-    c2 = obfuscation_coords(scale, triple_two, n, rng)
+    c1, c2 = (
+        np.column_stack(sample_monotone_map(scale, rng, n).triple_coords(*triple))
+        for triple in (triple_one, triple_two)
+    )
     pooled = np.vstack([c1, c2])
     cells = np.zeros(len(pooled), dtype=np.int64)
     bins = _OBFUSCATION_BINS

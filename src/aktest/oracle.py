@@ -11,7 +11,6 @@ enumerates those exhaustively, with explicit size caps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +24,6 @@ MAX_K = 8
 # Relative slack on the brute force's remaining-mass bound; the float sums it
 # compares are within about (MAX_SUPPORT + 2 MAX_K) 2^-53 of the total.
 _REM_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class RectangleFamily:
-    """A family of rectangles, flagged when pairwise support-disjoint."""
-
-    rects: tuple[AxisRectangle, ...]
-    disjoint: bool
-
-    def __len__(self) -> int:
-        return len(self.rects)
 
 
 def _union_support(
@@ -56,7 +44,7 @@ def _union_support(
 
 def ak_distance_bruteforce(
     p: DiscreteGridDistribution, q: DiscreteGridDistribution, k: int
-) -> tuple[float, RectangleFamily]:
+) -> tuple[float, tuple[AxisRectangle, ...]]:
     """Exact A_k distance with a witness family, by exhaustive search.
 
     Enumerates every rectangle whose per-axis bounds are support
@@ -174,7 +162,7 @@ def ak_distance_bruteforce(
             [hi[f] for (_, hi), f in zip(bounds, pos)],
         )
 
-    return best_value, RectangleFamily(tuple(map(rect, best)), disjoint=True)
+    return best_value, tuple(map(rect, best))
 
 
 def ak_distance_1d(

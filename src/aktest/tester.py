@@ -52,7 +52,6 @@ class TesterConfig:
     d: int
     eps: float
     mode: str = "practical"
-    c_prime: float = 1.0
     c_kappa: float = 1.0
     alpha: float | None = None
     s_multiplier: float = 1.0
@@ -70,8 +69,10 @@ class TesterConfig:
             raise InvalidInput(f"eps must be in (0, 2], got {self.eps}")
         if self.mode not in ("paper", "practical"):
             raise InvalidInput(f"mode must be paper or practical, got {self.mode!r}")
-        for name in ("c_prime", "c_kappa", "s_multiplier", "budget_multiplier"):
+        for name in sorted(_CONSTANT_KEYS):
             v = getattr(self, name)
+            if name == "alpha" and v is None:
+                continue  # the mode's default exponent
             if not (math.isfinite(v) and v > 0):
                 raise InvalidInput(f"{name} must be a positive real, got {v}")
 
@@ -157,11 +158,11 @@ class AkTestResult:
 
 
 def sample_budget(config: TesterConfig) -> int:
-    """Batch size m = ceil(C' k^(6/7) eps^(-2a/3) (log2 k)^d 2^(d/3))."""
+    """Batch size m = ceil(C' k^(6/7) eps^(-2a/3) (log2 k)^d 2^(d/3)),
+    with C' the budget_multiplier."""
     a = config.alpha_d
     value = (
         config.budget_multiplier
-        * config.c_prime
         * config.k ** (6.0 / 7.0)
         * config.eps ** (-2.0 * a / 3.0)
         * math.log2(config.k) ** config.d

@@ -19,7 +19,6 @@ from .covering import CoverFamily
 from .flatten import SplitMap, build_split_map
 from .geometry import (
     AxisRectangle,
-    PointSet,
     decompose_complement,
     erdos_szekeres_threshold,
     find_dominating_triple,
@@ -209,7 +208,7 @@ def run_ramsey_suite(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
         pts = rng.random((5, 2))
         while not is_generic(pts):
             pts = rng.random((5, 2))
-        if find_dominating_triple(PointSet(pts)) is None:
+        if find_dominating_triple(pts) is None:
             missing += 1
     results.append(
         _check(
@@ -219,7 +218,7 @@ def run_ramsey_suite(seed: int = 0, trials: int = 1000) -> list[CheckResult]:
             "a dominating triple",
         )
     )
-    witness = PointSet([(1.0, 2.0), (2.0, 4.0), (3.0, 1.0), (4.0, 3.0)])
+    witness = [(1.0, 2.0), (2.0, 4.0), (3.0, 1.0), (4.0, 3.0)]
     results.append(
         _check(
             "four-point witness",

@@ -6,8 +6,10 @@ REMOVED = (
     "LabeledSample",
     "OrderTuple",
     "P_LABEL",
+    "PointSet",
     "Q_LABEL",
     "RankedSampleSet",
+    "RectangleFamily",
     "SamplePointGrid",
     "build_grid",
     "discrepancy_density",
@@ -15,6 +17,7 @@ REMOVED = (
     "order_tuple",
     "random_pair_discrepancy",
     "rank_transform",
+    "sample_poisson",
     "union_volume",
 )
 

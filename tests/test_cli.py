@@ -108,6 +108,21 @@ def test_test_round_trip_accepts_generated_equal_pair(runner, tmp_path):
     assert report["samples_used"] >= report["batch_size"]
 
 
+@pytest.mark.parametrize("value", [0, -1])
+def test_test_rejects_nonpositive_constants(runner, tmp_path, value):
+    # robust_const = 0 used to reject p = q (exit 1), and -1 failed inside
+    # numpy with the same exit code
+    out, _ = gen_hard(runner, tmp_path, "equal")
+    constants = write_constants(tmp_path, robust_const=value)
+    result = runner.invoke(
+        main,
+        ["test", str(out / "p.json"), str(out / "q.json"),
+         "--k", "8", "--eps", "1.0", "--constants", str(constants)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "robust_const must be a positive real" in result.output
+
+
 # Strictly increasing on the lattice coordinates below, so equal
 # coordinates stay equal and distinct ones keep their order.
 MONOTONE_MAPS = [
@@ -312,6 +327,7 @@ def test_experiment_validates_its_config(runner, tmp_path):
     [
         {"c_kappa": 1e5, "bogus": 1},
         {"consistency_const": 1e9},
+        {"c_prime": 1.0},
         {"c_kappa": "large"},
         {"s_multiplier": None},
         [1.0],

@@ -10,7 +10,6 @@ from aktest import (
     DiscreteGridDistribution,
     InvalidInput,
     load_distribution_spec,
-    sample_poisson,
     save_distribution_spec,
 )
 
@@ -65,17 +64,6 @@ def test_sample_shape_and_support():
     assert pts.shape == (500, 2)
     assert set(map(tuple, pts)) <= {(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)}
     assert d.sample(0, rng).shape == (0, 2)
-
-
-def test_sample_poisson_count_distribution():
-    d = quarter_uniform()
-    rng = np.random.default_rng(11)
-    counts = [len(sample_poisson(d, 40.0, rng)) for _ in range(400)]
-    mean = np.mean(counts)
-    # Poi(40): mean 40, sigma of the empirical mean = sqrt(40/400)
-    assert abs(mean - 40.0) < 3 * np.sqrt(40.0 / 400)
-    with pytest.raises(InvalidInput):
-        sample_poisson(d, 0.0, rng)
 
 
 def test_sampling_zero_measure_fails():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from aktest import (
     AxisRectangle,
     InvalidInput,
-    PointSet,
     decompose_complement,
     erdos_szekeres_threshold,
     find_dominating_triple,
@@ -130,24 +129,16 @@ def test_is_generic():
     assert not is_generic([(0.0, 1.0), (2.0, 1.0)])  # shared y
 
 
-def test_point_set_validates_genericity():
-    with pytest.raises(InvalidInput):
-        PointSet([(0.0, 1.0), (0.0, 2.0)])
-    ps = PointSet([(0.0, 1.0), (0.0, 2.0)], generic=False)
-    assert not ps.generic
-
-
 def test_dominating_triple_on_a_chain():
-    ps = PointSet([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
-    triple = find_dominating_triple(ps)
+    triple = find_dominating_triple(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
     assert triple is not None
     x, y, z = triple
     assert rect_from_points(x, y).contains(z)
 
 
 def test_staircase_has_no_dominating_triple():
-    ps = PointSet([(1.0, 2.0), (2.0, 4.0), (3.0, 1.0), (4.0, 3.0)])
-    assert find_dominating_triple(ps) is None
+    staircase = [(1.0, 2.0), (2.0, 4.0), (3.0, 1.0), (4.0, 3.0)]
+    assert find_dominating_triple(staircase) is None
 
 
 def test_five_random_generic_points_always_dominate():
@@ -156,13 +147,17 @@ def test_five_random_generic_points_always_dominate():
         pts = rng.random((5, 2))
         while not is_generic(pts):
             pts = rng.random((5, 2))
-        assert find_dominating_triple(PointSet(pts)) is not None
+        assert find_dominating_triple(pts) is not None
 
 
 def test_triple_search_requires_generic_flag():
-    ps = PointSet([(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)], generic=False)
-    with pytest.raises(InvalidInput):
-        find_dominating_triple(ps)
+    # a shared coordinate on either axis is refused, even where a triple exists
+    shared_x = [(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)]
+    shared_y = [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0)]
+    for pts in (shared_x, shared_y):
+        with pytest.raises(InvalidInput, match="generic"):
+            find_dominating_triple(pts)
+    assert find_dominating_triple([]) is None
 
 
 def test_erdos_szekeres_values():

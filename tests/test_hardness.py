@@ -1,5 +1,6 @@
 """Lower-bound machinery: gadgets, order tuples, hard instances, obfuscation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from aktest.hardness import (
     SquareSpec,
     _encode_tuples,
     law_fit,
-    obfuscation_coords,
     order_tuple_laws,
     sample_order_tuple_cells,
 )
@@ -284,12 +284,11 @@ def test_hard_instance_sampler_stays_on_square_edges():
         inst.sampler("r")
 
 
-def test_hard_instance_poisson_budget():
-    rng = np.random.default_rng(17)
-    inst = gen_hard_instance(16, 1, 1.0, True, rng)
-    counts = [len(inst.sample_poisson("p", 30.0, rng)) for _ in range(300)]
-    mean_target = 30.0 * inst.total_mass
-    assert abs(np.mean(counts) - mean_target) < 3 * math.sqrt(mean_target / 300)
+def assert_interiors_disjoint(rects):
+    """No two boxes share an interior point: on some axis they meet at most
+    on a boundary."""
+    for a, b in itertools.combinations(rects, 2):
+        assert any(max(a.lo[j], b.lo[j]) >= min(a.hi[j], b.hi[j]) for j in range(2))
 
 
 def one_light_instance():
@@ -314,7 +313,11 @@ def test_ak_lower_bound_hand_instance():
     bound, family = inst.ak_lower_bound()
     assert bound == pytest.approx(2.0 / 9.0)
     assert len(family) == 4
-    assert family.disjoint
+    # the four quadrant boxes tile the light square [1/2, 1]^2
+    assert_interiors_disjoint(family)
+    square = AxisRectangle((0.5, 0.5), (1.0, 1.0))
+    assert all(square.contains_rect(box) for box in family)
+    assert sum(box.volume() for box in family) == square.volume()
 
 
 def test_ak_lower_bound_is_zero_for_equal():
@@ -332,6 +335,7 @@ def test_ak_lower_bound_respects_the_rectangle_budget():
     inst = HardInstance(k=8, m=1, eps=1.0, r=4, equal_case=False, squares=squares)
     bound, family = inst.ak_lower_bound()
     assert len(family) == 8  # k // 4 = 2 squares x 4 boxes
+    assert_interiors_disjoint(family)
     assert bound == pytest.approx((2.0 / 16) * 2 / inst.total_mass)
 
 
@@ -484,24 +488,46 @@ def test_sample_monotone_map_parameter_ranges():
         sample_monotone_map(10.0, rng)  # below e^e
 
 
-def test_obfuscation_coords_match_scalar_path():
-    seed = 37
+def test_sample_monotone_map_size_one_matches_size_none():
+    # one stream: size=1 draws the same lam1, lam2, u as size=None
     triple = (0.1, 0.5, 0.9)
-    scalar = sample_monotone_map(1e6, np.random.default_rng(seed))
-    vector = obfuscation_coords(1e6, triple, 1, np.random.default_rng(seed))
-    assert vector.shape == (1, 3)
-    expected = scalar.triple_coords(*triple)
-    assert np.allclose(vector[0], expected, rtol=1e-10)
+    for seed in (0, 37):
+        one = sample_monotone_map(1e6, np.random.default_rng(seed))
+        many = sample_monotone_map(1e6, np.random.default_rng(seed), 1)
+        assert np.ndim(one.lam1) == 0 and np.shape(many.lam1) == (1,)
+        assert (many.lam1[0], many.lam2[0]) == (one.lam1, one.lam2)
+        assert many.log_lam3[0] == pytest.approx(one.log_lam3, rel=1e-15)
+        got = np.column_stack(many.triple_coords(*triple))
+        assert got.shape == (1, 3)
+        assert np.allclose(got[0], one.triple_coords(*triple), rtol=1e-12)
 
 
-def test_obfuscation_coords_validation():
+def test_many_maps_broadcast_like_one_map_each():
+    rng = np.random.default_rng(3)
+    maps = sample_monotone_map(20.0, rng, 6)
+    coords = maps.triple_coords(0.1, 0.5, 0.9)
+    gaps = maps.log_gap(0.2, 0.7)
+    for i in range(6):
+        one = MonotoneMap(maps.lam1[i], maps.lam2[i], maps.log_lam3[i], 20.0)
+        assert [c[i] for c in coords] == list(one.triple_coords(0.1, 0.5, 0.9))
+        assert gaps[i] == one.log_gap(0.2, 0.7)
+
+
+def test_many_maps_validation():
     rng = np.random.default_rng(0)
+    maps = sample_monotone_map(1e6, rng, 10)
     with pytest.raises(InvalidInput):
-        obfuscation_coords(1e6, (0.5, 0.4, 0.9), 10, rng)
+        maps.triple_coords(0.5, 0.4, 0.9)
     with pytest.raises(InvalidInput):
-        obfuscation_coords(1e6, (0.1, 0.5, 1.1), 10, rng)
+        maps.triple_coords(0.1, 0.5, 1.1)
     with pytest.raises(InvalidInput):
-        obfuscation_coords(2.0, (0.1, 0.5, 0.9), 10, rng)
+        sample_monotone_map(2.0, rng, 10)
+    # one map in the batch whose additive term overflows fails them all
+    log_lam3 = np.zeros(3)
+    log_lam3[1] = 800.0
+    wide = MonotoneMap(np.zeros(3), np.zeros(3), log_lam3, 1e12)
+    with pytest.raises(OverflowError, match="additive"):
+        wide.apply(0.5)
 
 
 def test_obfuscation_tv_shrinks_with_scale():

@@ -22,7 +22,7 @@ from aktest import (
     sample_budget,
     tv_histogram_test,
 )
-from aktest.tester import LadderLookup
+from aktest.tester import _CONSTANT_KEYS, LadderLookup
 
 
 def uniform_access(d=1):
@@ -58,6 +58,18 @@ def test_config_validation():
         TesterConfig(k=4.0, d=1, eps=1.0)  # k must be an int, not a float
 
 
+@pytest.mark.parametrize("name", sorted(_CONSTANT_KEYS))
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_every_constant_must_be_positive_and_finite(name, value):
+    # robust_const = 0 used to pass and make the statistic 0.0 meet the
+    # threshold 0.0, a reject on p = q; a negative one failed inside numpy
+    with pytest.raises(InvalidInput, match=f"^{name} must be a positive real"):
+        TesterConfig(k=4, d=1, eps=1.0, **{name: value})
+    with pytest.raises(InvalidInput, match=name):
+        TesterConfig.practical(4, 1, 1.0, **{name: value})
+    TesterConfig(k=4, d=1, eps=1.0, **{name: 0.5})
+
+
 def test_alpha_exponent_defaults():
     assert TesterConfig(k=4, d=3, eps=1.0).alpha_d == 1.0
     assert TesterConfig(k=4, d=3, eps=1.0, alpha=2.5).alpha_d == 2.5
@@ -70,7 +82,7 @@ def test_alpha_exponent_defaults():
 
 
 def test_sample_budget_reference_value():
-    config = TesterConfig(k=128, d=1, eps=1.0, alpha=1.0, c_prime=1.0)
+    config = TesterConfig(k=128, d=1, eps=1.0, alpha=1.0)
     assert sample_budget(config) == 565
 
 
@@ -88,7 +100,9 @@ def test_sample_budget_scaling():
 
 def test_sample_budget_cap():
     with pytest.raises(InvalidInput):
-        sample_budget(TesterConfig(k=128, d=1, eps=1.0, alpha=1.0, c_prime=1e40))
+        sample_budget(
+            TesterConfig(k=128, d=1, eps=1.0, alpha=1.0, budget_multiplier=1e40)
+        )
     # paper-mode exponents at small eps overflow by design
     with pytest.raises(InvalidInput):
         sample_budget(TesterConfig.paper(128, 2, 0.5))
@@ -133,6 +147,8 @@ def test_practical_profile_loads_and_overrides():
     assert config.c_kappa == profile["c_kappa"]
     assert config.s_multiplier == profile["s_multiplier"]
     assert TesterConfig.practical(8, 2, 1.0, c_kappa=0.5).c_kappa == 0.5
+    # the profile leaves alpha unset, and practical mode's exponent is 1
+    assert config.alpha is None and config.alpha_d == 1.0
 
 
 def test_practical_profile_rejects_unknown_keys(tmp_path):
