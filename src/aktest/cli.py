@@ -152,11 +152,12 @@ def cmd_gen_hard(k, m, eps, case, seed, out, cells_per_square):
     try:
         instance = gen_hard_instance(k, m, eps, case == "equal", rng)
         p, q, meta = instance.to_distributions(cells_per_square)
-        bound, witness = instance.ak_lower_bound()
+        bound, discrepancy, witness = instance.ak_lower_bound()
     except InvalidInput as err:
         raise _usage(err) from err
     meta["seed"] = seed
     meta["ak_lower_bound"] = bound
+    meta["ak_discrepancy"] = discrepancy
     meta["witness_rectangles"] = len(witness)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,7 +225,8 @@ def cmd_experiment(config_file, out, trials, jobs):
     """Run a seeded trial sweep from a JSON config and append a results CSV.
 
     Sweep axes: family, k, eps, budget_multiplier (scalars or lists); the
-    constants object is checked like `test --constants`. Rows are
+    constants object is checked like `test --constants` (keys, types and
+    ranges) before any trial runs. Rows are
     deterministic given (config, seed) except the wall_ms column; jobs
     only changes the schedule, never the rows. A trial that raises becomes
     a verdict=error row carrying the exception text; the sweep still
@@ -266,6 +268,9 @@ def cmd_experiment(config_file, out, trials, jobs):
                     f" {RESULTS_SCHEMA} header {CSV_HEADER!r}; write to a new file"
                 )
         constants = check_constants(spec.get("constants", {}))
+        # range-check the profile once, on a valid instance, so that a bad
+        # profile is a usage error and a bad k stays its own cell's error row
+        TesterConfig.practical(2, 1, 1.0, **constants)
         mode = spec.get("mode", "practical")
         if mode not in ("paper", "practical"):
             raise InvalidInput(f"mode must be paper or practical, got {mode!r}")

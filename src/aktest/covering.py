@@ -34,6 +34,10 @@ EMPTY_CODE: Final = -1
 # Largest cover the int64 id encoding supports: d * log2(2m - 2) must fit.
 _ENCODE_BIT_CAP = 62
 
+# Samples per block of the per-sample passes after each RNG draw: an int64
+# or float temporary of one block (256 KB) stays in a core's L2 cache.
+_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class CoverFamily:
@@ -202,20 +206,22 @@ class CoverFamily:
         n = gaps.shape[0]
         levels = rng.integers(1, self.levels + 1, size=(n, self.dim))
         base = np.int64(self.per_axis_count)
-        code = np.zeros(n, dtype=np.int64)
-        empty = np.zeros(n, dtype=bool)
         offset = 0  # the flat offsets, -2 per axis, in mixed radix
-        for j in range(self.dim):
-            level, gap = levels[:, j], gaps[:, j]
-            code *= base
-            code += np.left_shift(1, level)
-            # An arithmetic shift keeps -1 negative; those rows are EMPTY.
-            code += np.right_shift(gap, self.levels - level)
-            empty |= gap < 0
+        for _ in range(self.dim):
             offset = offset * int(base) + 2
-        code -= offset
-        code[empty] = EMPTY_CODE
-        return code
+        codes = np.zeros(n, dtype=np.int64)
+        for s in range(0, n, _BLOCK):
+            code = codes[s : s + _BLOCK]
+            empty = np.zeros(len(code), dtype=bool)
+            for level, gap in zip(levels[s : s + _BLOCK].T, gaps[s : s + _BLOCK].T):
+                # (gap + m) >> (L - level) is 2^level + the run index of an
+                # in-span gap; the rows with a gap of -1 are EMPTY.
+                code *= base
+                code += np.right_shift(gap + self.m, self.levels - level)
+                empty |= gap < 0
+            code -= offset
+            code[empty] = EMPTY_CODE
+        return codes
 
     def decode_id(self, code: int):
         """Inverse of sample_ids_encoded for one code."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .geometry import AxisRectangle, Point
+from .tester import _choice_index
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -116,8 +117,13 @@ class DiscreteGridDistribution:
             raise InvalidInput("cannot sample from a zero measure")
         if n == 0:
             return np.empty((0, self.dim))
-        idx = rng.choice(len(w), size=n, p=w / total)
-        return pts[idx]
+        return pts[self._atom_of(rng.random(n))]
+
+    @cached_property
+    def _atom_of(self):
+        """Uniforms to atom indices, as ``rng.choice`` with the normalized weights."""
+        _, w = self._arrays
+        return _choice_index(w / w.sum())
 
 
 def load_distribution_spec(path: str) -> DiscreteGridDistribution:

@@ -14,8 +14,10 @@ from typing import Callable
 
 import numpy as np
 
+from .covering import _BLOCK
 from .errors import InvalidInput
 from .hardness import gen_hard_instance
+from .tester import _choice_index
 
 PointAccess = Callable[[int, np.random.Generator], np.ndarray]
 
@@ -47,14 +49,22 @@ def _strip_histogram_access(
     edges: np.ndarray, masses: np.ndarray, axis: int
 ) -> PointAccess:
     widths = np.diff(edges)
-    k = len(widths)
+    strip_of = _choice_index(masses)
 
     def access(n: int, rng: np.random.Generator) -> np.ndarray:
-        comp = rng.choice(k, size=n, p=masses)
-        along = edges[comp] + rng.random(n) * widths[comp]
-        across = rng.random(n)
-        cols = (along, across) if axis == 0 else (across, along)
-        return np.column_stack(cols)
+        # rng.choice(k, size=n, p=masses), then the offset along the strip,
+        # then the coordinate across it: three whole draws, in this order
+        u = rng.random(n)
+        pts = np.empty((2, n))
+        along = pts[axis]
+        rng.random(out=along)
+        rng.random(out=pts[1 - axis])
+        for s in range(0, n, _BLOCK):
+            comp = strip_of(u[s : s + _BLOCK])
+            block = along[s : s + _BLOCK]
+            block *= widths[comp]
+            block += edges[comp]
+        return pts.T
 
     return access
 

@@ -21,6 +21,7 @@ import numpy as np
 from .distributions import DiscreteGridDistribution
 from .errors import InvalidInput
 from .geometry import AxisRectangle
+from .tester import _choice_index
 
 VARIANT_T = "T"
 VARIANT_R = "R"
@@ -399,24 +400,27 @@ class HardInstance:
         centers = np.array([g.center for g in gadgets])
         codes = np.array([_VARIANTS.index(g.variant) for g in gadgets])
         masses = np.array([sq.mass for sq in self.squares], dtype=float)
-        weights = masses / masses.sum()
+        square_of = _choice_index(masses / masses.sum())
 
         def access(n: int, rng: np.random.Generator) -> np.ndarray:
             if n == 0:
                 return np.empty((0, 2))
-            comp = rng.choice(len(weights), size=n, p=weights)
+            comp = square_of(rng.random(n))
             return _gadget_points(centers, self.radius, codes[comp], rng, comp)
 
         return access
 
-    def ak_lower_bound(self) -> tuple[float, tuple[AxisRectangle, ...]]:
-        """Certified A_k discrepancy of the normalized pair.
+    def ak_lower_bound(self) -> tuple[float, float, tuple[AxisRectangle, ...]]:
+        """Certified A_k discrepancy: normalized, as summed, and its witness.
 
         Sums the exact per-quadrant one-sided discrepancies over the light
-        squares (four sub-rectangles each, returned as the witness) and
-        normalizes by the common total mass. Only as many squares as fit
-        within k rectangles are counted, which keeps the bound valid for
-        any k. Zero in the equal case.
+        squares (four sub-rectangles each, returned as the witness); the
+        bound of the normalized pair divides that sum by the common total
+        mass. The sum itself is the bound for the unnormalized measures of
+        ``to_distributions``; compare that with an exact oracle, since
+        multiplying the normalized bound back can round an ulp above it.
+        Only as many squares as fit within k rectangles are counted, which
+        keeps the bound valid for any k. Zero in the equal case.
         """
         oriented = [
             sq for sq in self.squares if not sq.heavy and sq.p_variant != sq.q_variant
@@ -438,7 +442,7 @@ class HardInstance:
                     total += diff
         mass = self.total_mass
         bound = total / mass if mass > 0 else 0.0
-        return bound, tuple(rects)
+        return bound, total, tuple(rects)
 
     def to_distributions(
         self, cells_per_square: int = 8

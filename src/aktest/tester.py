@@ -9,6 +9,13 @@ discrete pair to the flattening closeness test at accuracy sqrt(kappa).
 Everything after the batch draw consumes only comparisons against batch
 coordinates, so strictly monotone per-axis transforms of all inputs leave
 the verdict bit-for-bit unchanged for a fixed seed.
+
+Per fresh sample, the only full-length arrays are the RNG draws (points,
+tie positions, cover levels), the (n, d) gap matrix and the output codes.
+Every RNG draw is one whole-array call, so the stream does not depend on
+blocking; the deterministic work after each draw (bucket lookup, slot
+compares, gap shift and clip, code arithmetic) runs over blocks of
+``_BLOCK`` samples, whose temporaries stay in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .covering import CoverFamily
+from .covering import _BLOCK, CoverFamily
 from .errors import InvalidInput
 from .flatten import (
     DEFAULT_FLATTEN_CONST,
@@ -271,37 +278,75 @@ class LadderLookup:
         ]
         self._start, self._lo, self._scale, self._top = start, lo, scale, buckets - 1
 
-    def _index(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index of the first distinct value >= x, and whether it equals x."""
+    def _index(self, x: np.ndarray, side: str = "left") -> np.ndarray:
+        """Index of the first distinct value >= x, or > x for side "right"."""
         if self._slots is None:
-            i = np.searchsorted(self._values[:-1], x)
-        else:
-            with np.errstate(over="ignore"):  # an overflow to +-inf clips
-                t = (x - self._lo) * self._scale
-            np.clip(t, 0, self._top, out=t)
-            b = t.astype(np.intp)
-            below = np.zeros(len(x), dtype=np.uint8)
-            for slot in self._slots:
-                below += slot[b] < x
-            i = self._start[b] + below
-        return i, self._values[i] == x
+            return np.searchsorted(self._values[:-1], x, side=side)
+        with np.errstate(over="ignore"):  # an overflow to +-inf clips
+            t = (x - self._lo) * self._scale
+        np.clip(t, 0, self._top, out=t)
+        b = t.astype(np.intp)
+        below = np.zeros(len(x), dtype=np.uint8)
+        compare = np.less if side == "left" else np.less_equal
+        for slot in self._slots:
+            below += compare(slot[b], x)
+        return self._start[b] + below
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i, hit = self._index(x)
-        return self._left[i], np.where(hit, self._ties[i], 0)
+        i = self._index(x)
+        return self._left[i], np.where(self._values[i] == x, self._ties[i], 0)
 
-    def positions(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def positions(
+        self, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Rank positions: the strictly-smaller count plus a uniform draw
-        over the ties, ``rng.integers(0, ties + 1)``.
+        over the ties, ``rng.integers(0, ties + 1)``, written into ``out``
+        (an int64 array of len(x)) when one is given.
 
-        A draw over no ties consumes nothing from the generator, so it is
-        skipped when no query ties; the stream depends only on the ties.
+        The counts are found one block of queries at a time; the tie draw is
+        one whole-array call. A draw over no ties consumes nothing from the
+        generator, so it is skipped when no query ties; the stream depends
+        only on the ties.
         """
-        i, hit = self._index(x)
-        left = self._left[i]
-        if hit.any():
-            left += rng.integers(0, np.where(hit, self._ties[i], 0) + 1)
-        return left
+        if out is None:
+            out = np.empty(len(x), dtype=np.int64)
+        bounds = None  # ties + 1, filled only in blocks that hold a tie
+        for s in range(0, len(x), _BLOCK):
+            block = slice(s, s + _BLOCK)
+            i = self._index(x[block])
+            np.take(self._left, i, out=out[block], mode="clip")
+            hit = self._values[i] == x[block]
+            if hit.any():
+                if bounds is None:
+                    bounds = np.ones(len(x), dtype=np.int64)
+                np.add(self._ties[i], 1, out=bounds[block], where=hit)
+        if bounds is not None:
+            out += rng.integers(0, bounds)
+        return out
+
+
+def _choice_index(masses) -> Callable[[np.ndarray], np.ndarray]:
+    """Uniforms to indices, the map behind ``rng.choice(k, size=n, p=masses)``.
+
+    numpy's choice draws ``u = rng.random(n)`` and returns
+    ``cdf.searchsorted(u, side="right")``, with ``cdf = masses.cumsum()``
+    divided by its last entry: the count of cdf values <= u. A LadderLookup
+    of the cdf gives that count block by block (a zero mass is a tie), so
+    ``index(rng.random(n))`` is that choice bit for bit and leaves the
+    generator in the same state.
+    """
+    cdf = np.asarray(masses, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    lookup = LadderLookup(cdf)
+
+    def index(u: np.ndarray) -> np.ndarray:
+        out = np.empty(len(u), dtype=np.int64)
+        for s in range(0, len(u), _BLOCK):
+            i = lookup._index(u[s : s + _BLOCK], side="right")
+            np.take(lookup._left, i, out=out[s : s + _BLOCK], mode="clip")
+        return out
+
+    return index
 
 
 def _draw(access: PointAccess, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -332,9 +377,11 @@ def _encoded_access(
         pts = _draw(side_access, n, d, rng)
         gaps = np.empty((d, n), dtype=np.int64).T  # contiguous columns
         for j, (lookup, x) in enumerate(zip(lookups, np.ascontiguousarray(pts.T))):
-            gap = lookup.positions(x, rng) - 1
-            gap[gap > top_gap] = -1
-            gaps[:, j] = gap
+            gap = lookup.positions(x, rng, out=gaps[:, j])
+            for s in range(0, n, _BLOCK):
+                block = gap[s : s + _BLOCK]
+                block -= 1
+                block[block > top_gap] = -1
         return cover.sample_ids_encoded(gaps, rng)
 
     return access

@@ -63,6 +63,7 @@ def test_gen_hard_equal_case(runner, tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["seed"] == 5
     assert meta["witness_rectangles"] == 0
+    assert meta["ak_discrepancy"] == 0.0
     assert sum(1 for s in meta["squares"] if s["heavy"]) == summary["heavy"]
 
 
@@ -79,6 +80,9 @@ def test_gen_hard_far_case(runner, tmp_path):
     assert (out / "p.json").read_bytes() != (out / "q.json").read_bytes()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["witness_rectangles"] > 0
+    assert meta["ak_discrepancy"] == pytest.approx(
+        meta["ak_lower_bound"] * meta["total_mass"]
+    )
 
 
 def test_gen_hard_rejects_large_heavy_budget(runner, tmp_path):
@@ -279,9 +283,10 @@ def test_experiment_appends_without_repeating_the_header(runner, tmp_path):
 
 def test_experiment_error_rows_round_trip(runner, tmp_path):
     # k=0 fails building the instance; k=4 builds it, then the negative
-    # constant fails the config. Both messages contain a comma.
+    # budget multiplier of the sweep fails the config. Both messages
+    # contain a comma.
     config = experiment_config(
-        tmp_path, family="hist-far", k=[0, 4], trials=1, constants={"c_kappa": -1.0}
+        tmp_path, family="hist-far", k=[0, 4], trials=1, budget_multiplier=-1.0
     )
     out = tmp_path / "results.csv"
     result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
@@ -294,7 +299,9 @@ def test_experiment_error_rows_round_trip(runner, tmp_path):
     assert {row["schema"] for row in rows} == {"akr2"}
     assert rows[0]["d"] == "" and rows[1]["d"] == "2"
     assert rows[0]["error"] == "InvalidInput: hist-far needs an even k >= 2, got 0"
-    assert rows[1]["error"] == "InvalidInput: c_kappa must be a positive real, got -1.0"
+    assert rows[1]["error"] == (
+        "InvalidInput: budget_multiplier must be a positive real, got -1.0"
+    )
     assert rows[0]["samples_used"] == rows[1]["samples_used"] == ""
     assert all(float(row["wall_ms"]) >= 0 for row in rows)
 
@@ -331,6 +338,8 @@ def test_experiment_validates_its_config(runner, tmp_path):
         {"c_kappa": "large"},
         {"s_multiplier": None},
         [1.0],
+        {"robust_const": 0},
+        {"c_kappa": -1.0},
     ],
 )
 def test_experiment_checks_constants_like_the_test_command(

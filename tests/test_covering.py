@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from aktest import EMPTY, EMPTY_CODE, CoverFamily, InvalidInput
+from aktest.covering import _BLOCK
+
+# Sample counts around the edges of the per-sample passes' blocks
+BLOCK_EDGES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 
 
 def cover_1d():
@@ -176,6 +180,38 @@ def test_sample_ids_encoded_empty_rows():
     assert codes[0] == EMPTY_CODE and codes[2] == EMPTY_CODE
     assert codes[1] != EMPTY_CODE
     assert cover.decode_id(EMPTY_CODE) == EMPTY
+
+
+def reference_codes(cover, gaps, rng):
+    """The unblocked encode that sample_ids_encoded must reproduce bit for bit."""
+    n = len(gaps)
+    levels = rng.integers(1, cover.levels + 1, size=(n, cover.dim))
+    base = cover.per_axis_count
+    code = np.zeros(n, dtype=np.int64)
+    empty = np.zeros(n, dtype=bool)
+    offset = 0
+    for j in range(cover.dim):
+        level, gap = levels[:, j], gaps[:, j]
+        code = code * base + np.left_shift(1, level)
+        code += np.right_shift(gap, cover.levels - level)
+        empty |= gap < 0
+        offset = offset * base + 2
+    code -= offset
+    code[empty] = EMPTY_CODE
+    return code
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_sample_ids_encoded_blocks_match_the_unblocked_encode(n, d):
+    cover = CoverFamily(64, d)
+    gaps = np.random.default_rng(n + d).integers(-1, 64, size=(n, d))  # -1: EMPTY
+    for layout in (gaps, np.asfortranarray(gaps)):
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        codes = cover.sample_ids_encoded(layout, ours)
+        assert np.array_equal(codes, reference_codes(cover, gaps, theirs))
+        assert ours.random() == theirs.random()
+    assert n < 100 or 0 < np.mean(codes == EMPTY_CODE) < 0.1
 
 
 def test_sampled_ids_match_exact_induced_distribution():

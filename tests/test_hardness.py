@@ -310,8 +310,9 @@ def test_ak_lower_bound_hand_instance():
     # quadrant boxes sees a one-sided discrepancy of mass/2, so the raw
     # total is 2 * mass = 1/4, normalized by M = 9/8 to 2/9.
     inst = one_light_instance()
-    bound, family = inst.ak_lower_bound()
+    bound, discrepancy, family = inst.ak_lower_bound()
     assert bound == pytest.approx(2.0 / 9.0)
+    assert discrepancy == 0.25
     assert len(family) == 4
     # the four quadrant boxes tile the light square [1/2, 1]^2
     assert_interiors_disjoint(family)
@@ -323,8 +324,8 @@ def test_ak_lower_bound_hand_instance():
 def test_ak_lower_bound_is_zero_for_equal():
     rng = np.random.default_rng(19)
     inst = gen_hard_instance(16, 1, 1.0, True, rng)
-    bound, family = inst.ak_lower_bound()
-    assert bound == 0.0
+    bound, discrepancy, family = inst.ak_lower_bound()
+    assert bound == discrepancy == 0.0
     assert len(family) == 0
 
 
@@ -333,7 +334,7 @@ def test_ak_lower_bound_respects_the_rectangle_budget():
         SquareSpec(i, False, VARIANT_T, VARIANT_R, 1.0 / 16) for i in range(4)
     )
     inst = HardInstance(k=8, m=1, eps=1.0, r=4, equal_case=False, squares=squares)
-    bound, family = inst.ak_lower_bound()
+    bound, _, family = inst.ak_lower_bound()
     assert len(family) == 8  # k // 4 = 2 squares x 4 boxes
     assert_interiors_disjoint(family)
     assert bound == pytest.approx((2.0 / 16) * 2 / inst.total_mass)
@@ -347,22 +348,22 @@ def test_discretized_instance_matches_the_bound():
     assert p.total_mass == q.total_mass == inst.total_mass
     value, _ = ak_distance_bruteforce(p, q, 8)
     assert value == 0.25
-    bound, _ = inst.ak_lower_bound()
-    assert bound * inst.total_mass <= value
+    assert inst.ak_lower_bound()[1] == value
 
 
 @pytest.mark.parametrize("k,m", [(8, 1), (16, 1), (16, 3)])
 @pytest.mark.parametrize("cells", [2, 4])
 def test_planted_bound_holds_on_the_exact_pushforward(k, m, cells):
-    # dyadic eps keeps bound * total_mass exact; the witness must fit in 8
-    # boxes, since A_8 can be below the bound of a larger family
+    # the unnormalized sum is what the pushforward must reach: at eps 0.1
+    # and 0.9, bound * total_mass rounds an ulp above A_8; the witness must
+    # fit in 8 boxes, since A_8 can be below the bound of a larger family
     for seed in range(4):
-        for eps in (1.0, 0.5):
+        for eps in (1.0, 0.5, 0.1, 0.9):
             inst = gen_hard_instance(k, m, eps, False, np.random.default_rng(seed))
             p, q, _ = inst.to_distributions(cells_per_square=cells)
-            bound, witness = inst.ak_lower_bound()
+            _, discrepancy, witness = inst.ak_lower_bound()
             assert len(witness) <= 8
-            assert bound * inst.total_mass <= ak_distance_bruteforce(p, q, 8)[0]
+            assert discrepancy <= ak_distance_bruteforce(p, q, 8)[0]
 
 
 def test_to_distributions_equal_case_sides_agree():

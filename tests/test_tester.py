@@ -22,7 +22,15 @@ from aktest import (
     sample_budget,
     tv_histogram_test,
 )
-from aktest.tester import _CONSTANT_KEYS, LadderLookup
+from aktest.covering import _BLOCK, CoverFamily
+from aktest.tester import (
+    _CONSTANT_KEYS,
+    LadderLookup,
+    _choice_index,
+    _encoded_access,
+    _padded_size,
+)
+from test_covering import BLOCK_EDGES, reference_codes
 
 
 def uniform_access(d=1):
@@ -345,6 +353,108 @@ def test_ladder_lookup_on_each_path(ladder):
         LadderLookup(ladder).positions(x, ours), reference_positions(ladder, x, theirs)
     )
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_positions_across_block_edges(n):
+    # ties in the second and last blocks only, and infinite queries
+    rng = np.random.default_rng(n)
+    ladder = rng.random(279)
+    x = rng.normal(size=n)
+    for i in {_BLOCK + 3, n - 1} & set(range(n)):
+        x[i] = ladder[i % len(ladder)]
+    x[n // 3 : n // 3 + 1] = -np.inf
+    x[n // 2 : n // 2 + 1] = np.inf
+    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    assert np.array_equal(
+        LadderLookup(ladder).positions(x, ours), reference_positions(ladder, x, theirs)
+    )
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def ladders_and_points(case, n, d, rng):
+    """Per-axis batch ladders and (n, d) fresh points for one tie layout."""
+    if case == "lattice":  # every point ties
+        ladders = [(rng.integers(0, 32, 88) + 0.5) / 32 for _ in range(d)]
+        return ladders, (rng.integers(0, 32, (n, d)) + 0.5) / 32
+    # 2^5 + 1 values fill the padded ladder, so a point above them all
+    # lands past the top gap
+    ladders = [rng.random(33 if case == "edges" else 279) for _ in range(d)]
+    x = rng.random((n, d))
+    if case == "some-blocks":  # ties in the second and last blocks only
+        for i in {_BLOCK + 3, n - 1} & set(range(n)):
+            x[i] = [ladder[i % len(ladder)] for ladder in ladders]
+    if case == "edges":  # below, above and tied with the top of the span
+        for j, ladder in enumerate(ladders):
+            x[j::4, j] = -0.5
+            x[j + 1 :: 4, j] = 1.5
+            x[j + 2 :: 4, j] = ladder.max()
+    return ladders, x
+
+
+@pytest.mark.parametrize("case", ["lattice", "continuous", "some-blocks", "edges"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_encoded_access_blocks_match_an_unblocked_reference(case, d, n):
+    ladders, x = ladders_and_points(case, n, d, np.random.default_rng(10 * n + d))
+    cover = CoverFamily(_padded_size(len(ladders[0])) - 1, d)
+    lookups = [LadderLookup(ladder) for ladder in ladders]
+    access = _encoded_access(lambda n, rng: x, lookups, cover)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    codes = access(n, ours)
+    gaps = np.empty((n, d), dtype=np.int64)
+    for j, ladder in enumerate(ladders):
+        gap = reference_positions(ladder, x[:, j], theirs) - 1
+        gap[gap > cover.m - 1] = -1
+        gaps[:, j] = gap
+    assert np.array_equal(codes, reference_codes(cover, gaps, theirs))
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("k", [2, 16, 128])
+def test_choice_index_is_rng_choice(k):
+    rng = np.random.default_rng(k)
+    masses = rng.dirichlet(np.ones(k))
+    masses[::3] = 0.0  # zero masses, the first one included, tie in the cdf
+    masses /= masses.sum()
+    index = _choice_index(masses)
+    for n in BLOCK_EDGES:
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        drawn = index(ours.random(n))
+        assert np.array_equal(drawn, theirs.choice(k, size=n, p=masses))
+        assert drawn.dtype == np.int64
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    # choice's own formula on uniforms that hit the cdf exactly, where a
+    # zero mass must never be drawn
+    cdf = masses.cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0)])
+    u = u[u < 1.0]  # rng.random draws from [0, 1)
+    assert np.array_equal(index(u), cdf.searchsorted(u, side="right"))
+    assert masses[index(u)].all()
+
+
+# Trial 0 of each benchmark cell, drawn with the acceptance gate's generators:
+# family, k, budget multiplier, gate seed, then statistic and threshold (hex),
+# samples_used and batch_size. Any change to the RNG stream of the families
+# or the tester moves these.
+GATE_PINS = [
+    ("uniform-equal", 8, 1.0, 201, "0x1.8c00000000000p+8", "0x1.f716a4800ca47p+15", 1752637, 88),
+    ("hist-equal", 16, 1.0, 202, "-0x1.29e0000000000p+13", "0x1.54c9241060290p+16", 4250904, 279),
+    ("hist-far", 16, 4.0, 204, "0x1.080a000000000p+16", "0x1.2549ec72db79ep+14", 497011, 1043),
+]
+
+
+@pytest.mark.parametrize("pin", GATE_PINS, ids=[pin[0] for pin in GATE_PINS])
+def test_gate_streams_are_pinned(pin):
+    family, k, multiplier, seed, statistic, threshold, samples, batch = pin
+    rng = np.random.default_rng((seed, 0))
+    instance = make_instance(family, k, 1.0, rng)
+    config = TesterConfig.practical(k, 2, 1.0, budget_multiplier=multiplier)
+    result = ak_closeness_test(instance.p_access, instance.q_access, config, rng)
+    assert result.statistic.hex() == statistic
+    assert result.threshold.hex() == threshold
+    assert (result.samples_used, result.batch_size) == (samples, batch)
 
 
 def test_ladder_lookup_rejects_bad_ladders():
