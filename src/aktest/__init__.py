@@ -37,9 +37,8 @@ from .hardness import (
     HardInstance,
     MonotoneMap,
     SquareEdgeGadget,
-    TvEstimate,
+    gap_ratio_tv,
     gen_hard_instance,
-    obfuscation_tv,
     order_tuple_distribution_distance,
     sample_monotone_map,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "SquareEdgeGadget",
     "TestVerdict",
     "TesterConfig",
-    "TvEstimate",
     "ak_closeness_test",
     "ak_distance_1d",
     "ak_distance_bruteforce",
@@ -94,6 +92,7 @@ __all__ = [
     "find_dominating_triple",
     "flatten_closeness",
     "flatten_set_count",
+    "gap_ratio_tv",
     "gen_hard_instance",
     "hypothesis_equivalence_test",
     "is_generic",
@@ -102,7 +101,6 @@ __all__ = [
     "load_distribution_spec",
     "load_practical_constants",
     "make_instance",
-    "obfuscation_tv",
     "order_tuple_distribution_distance",
     "rect_from_points",
     "robust_l2_test",

@@ -183,6 +183,14 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _number(key: str, value, kind: type):
+    """An experiment config value as int or float, or a usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{key} must be a number, got {value!r}") from exc
+
+
 def _run_trial(task: dict) -> dict:
     """One experiment trial; module-level so worker processes can load it."""
     rng = np.random.default_rng((task["seed"], task["trial"]))
@@ -254,7 +262,9 @@ def cmd_experiment(config_file, out, trials, jobs):
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
         if "seed" not in spec:
             raise InvalidInput("experiment config must pin a seed")
-        n_trials = trials if trials is not None else int(spec.get("trials", 0))
+        seed = _number("seed", spec["seed"], int)
+        n_trials = spec.get("trials", 0) if trials is None else trials
+        n_trials = _number("trials", n_trials, int)
         if n_trials < 1:
             raise InvalidInput("trial count must be >= 1")
         out_path = Path(out if out is not None else spec.get("out", "results.csv"))
@@ -277,9 +287,12 @@ def cmd_experiment(config_file, out, trials, jobs):
         combos = list(
             itertools.product(
                 _as_list(spec.get("family", "uniform-equal")),
-                _as_list(spec.get("k", 8)),
-                _as_list(spec.get("eps", 1.0)),
-                _as_list(spec.get("budget_multiplier", 1.0)),
+                [_number("k", v, int) for v in _as_list(spec.get("k", 8))],
+                [_number("eps", v, float) for v in _as_list(spec.get("eps", 1.0))],
+                [
+                    _number("budget_multiplier", v, float)
+                    for v in _as_list(spec.get("budget_multiplier", 1.0))
+                ],
             )
         )
         for family, *_ in combos:
@@ -298,11 +311,11 @@ def cmd_experiment(config_file, out, trials, jobs):
                 {
                     "schema": RESULTS_SCHEMA,
                     "trial": trial,
-                    "seed": int(spec["seed"]),
+                    "seed": seed,
                     "family": family,
-                    "k": int(k),
-                    "eps": float(eps),
-                    "budget_multiplier": float(mult),
+                    "k": k,
+                    "eps": eps,
+                    "budget_multiplier": mult,
                     "mode": mode,
                     "constants": constants,
                 }

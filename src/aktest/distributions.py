@@ -112,9 +112,12 @@ class DiscreteGridDistribution:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n iid draws from the normalized measure, shape (n, d)."""
         pts, w = self._arrays
-        total = w.sum()
+        with np.errstate(over="ignore"):  # an overflowing total is refused below
+            total = w.sum()
         if total <= 0:
             raise InvalidInput("cannot sample from a zero measure")
+        if not np.isfinite(total):
+            raise InvalidInput(f"cannot sample: total mass overflows to {total}")
         if n == 0:
             return np.empty((0, self.dim))
         return pts[self._atom_of(rng.random(n))]

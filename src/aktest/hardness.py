@@ -185,39 +185,6 @@ def _gadget_points(
 # ---- order tuples ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TvEstimate:
-    """Bias-corrected empirical total variation between two sampled laws."""
-
-    estimate: float
-    stderr: float
-    cells: int
-
-
-def _debiased_tv(
-    counts1: np.ndarray, counts2: np.ndarray, n1: int, n2: int
-) -> TvEstimate:
-    """Plug-in TV with its null expectation subtracted cell by cell.
-
-    Under the null (both samples from one law) the plug-in TV concentrates
-    around sum_c sqrt(2 var_c / pi) / 2, not zero; subtracting that (with
-    the pooled variance estimate) makes "consistent with zero" testable.
-    The stderr is the delta-method normal approximation. The bias is
-    subtracted from every cell, also where the two laws differ, so under
-    the alternative the estimate is low: at m = 4, 10^6 order tuples per
-    world gave 0.2064 +- 0.0004, 66 stderr under order_tuple_distribution_distance(4).
-    """
-    f1 = counts1 / n1
-    f2 = counts2 / n2
-    diff = np.abs(f1 - f2)
-    pooled = (counts1 + counts2) / (n1 + n2)
-    var = pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)
-    bias = np.sqrt(2.0 * var / math.pi)
-    estimate = 0.5 * float((diff - bias).sum())
-    stderr = 0.5 * math.sqrt(float(var.sum()) * (1.0 - 2.0 / math.pi))
-    return TvEstimate(estimate=estimate, stderr=stderr, cells=len(f1))
-
-
 # Both order-tuple worlds draw from the diamond inscribed in the unit square
 # and label each point P or Q by a fair coin. The yes world draws every point
 # from the even mixture; the no world flips one coin per tuple and gives
@@ -534,6 +501,13 @@ def gen_hard_instance(
 _MIN_W = math.exp(math.e)
 
 
+def _log_log(scale: float) -> float:
+    """log log W, the lower end of lam1's range; requires W > e^e."""
+    if not scale > _MIN_W:
+        raise InvalidInput(f"scale must exceed e^e = {_MIN_W:.4f}, got {scale}")
+    return math.log(math.log(scale))
+
+
 @dataclass(frozen=True)
 class MonotoneMap:
     """x -> exp(x * exp(lam1)) * exp(lam2) + lam3 on the domain [0, 1].
@@ -600,9 +574,7 @@ def sample_monotone_map(
     lam3 ~ U[0, exp(2 log^3 W)] (stored in log space). Requires W > e^e.
     size follows numpy: None draws one map, an int that many maps at once.
     """
-    if not scale > _MIN_W:
-        raise InvalidInput(f"scale must exceed e^e = {_MIN_W:.4f}, got {scale}")
-    loglog = math.log(math.log(scale))
+    loglog = _log_log(scale)
     log3 = math.log(scale) ** 3
     lam1 = rng.uniform(loglog, 2 * loglog, size)
     lam2 = rng.uniform(0.0, log3, size)
@@ -611,33 +583,32 @@ def sample_monotone_map(
     return MonotoneMap(lam1, lam2, log_lam3, float(scale))
 
 
-_OBFUSCATION_BINS = 8  # per coordinate
+_TV_GRID = 1 << 12  # lam1 grid intervals; 2^12 and 2^18 agree to 1e-8
 
 
-def obfuscation_tv(
+def gap_ratio_tv(
     scale: float,
     triple_one: tuple[float, float, float],
     triple_two: tuple[float, float, float],
-    n: int,
-    rng: np.random.Generator,
-) -> TvEstimate:
-    """Binned TV between the coordinate laws of two triples at one scale.
+) -> float:
+    """Exact TV between the laws of log log A of two triples at one scale.
 
-    The joint (log log A, log B, log C) histogram over 8^3 cells (edges
-    from the pooled per-coordinate ranges) feeds the debiased TV estimator.
-    Larger scales obfuscate harder, so the estimate shrinks as W grows.
+    log log A = psi(lam1): lam2 cancels in the gap ratio and lam3 does not
+    enter it. psi is increasing and lam1 ~ U[L, 2L] with L = log log W, so
+    the law's CDF is (psi^-1(x) - L) / L. Each CDF is linear between
+    psi's values on one lam1 grid, so both are linear between the merged
+    breakpoints and their TV is summed exactly (a finer grid moves it by
+    about 1e-8). This is a lower bound on the TV between the triples'
+    joint (log log A, log B, log C) laws, and for large W it tends to
+    |log((c - b) / (c' - b'))| / L.
     """
-    c1, c2 = (
-        np.column_stack(sample_monotone_map(scale, rng, n).triple_coords(*triple))
-        for triple in (triple_one, triple_two)
-    )
-    pooled = np.vstack([c1, c2])
-    cells = np.zeros(len(pooled), dtype=np.int64)
-    bins = _OBFUSCATION_BINS
-    for j in range(3):
-        edges = np.linspace(pooled[:, j].min(), pooled[:, j].max(), bins + 1)
-        b = np.searchsorted(edges, pooled[:, j], side="right") - 1
-        cells = cells * bins + np.clip(b, 0, bins - 1)
-    union, inverse = np.unique(cells, return_inverse=True)
-    halves = (inverse[: len(c1)], inverse[len(c1) :])
-    return _debiased_tv(*(np.bincount(h, minlength=len(union)) for h in halves), n, n)
+    loglog = _log_log(scale)
+    lam = np.linspace(loglog, 2.0 * loglog, _TV_GRID + 1)
+    flat = MonotoneMap(lam, 0.0, 0.0, float(scale))
+    psi = [flat.triple_coords(*triple)[0] for triple in (triple_one, triple_two)]
+    if not all(np.all(np.diff(p) > 0) for p in psi):
+        raise InvalidInput("log log A is not strictly increasing in lam1")
+    x = np.union1d(*psi)
+    # np.interp clips to lam's ends outside a table: CDF 0 below, 1 above
+    gap = np.interp(x, psi[0], lam) - np.interp(x, psi[1], lam)
+    return 0.5 * float(np.abs(np.diff(gap)).sum()) / loglog

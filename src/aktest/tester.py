@@ -125,10 +125,15 @@ def check_constants(profile) -> dict:
     unknown = set(profile) - _CONSTANT_KEYS
     if unknown:
         raise InvalidInput(f"unknown constants in profile: {sorted(unknown)}")
+    out = {}
     for key, value in profile.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidInput(f"constant {key} must be a number, got {value!r}")
-    return {k: float(v) for k, v in profile.items()}
+        try:
+            out[key] = float(value)
+        except OverflowError as exc:  # an int beyond float range
+            raise InvalidInput(f"constant {key} exceeds float range") from exc
+    return out
 
 
 def load_practical_constants(path=None) -> dict:

@@ -11,9 +11,11 @@ REMOVED = (
     "RankedSampleSet",
     "RectangleFamily",
     "SamplePointGrid",
+    "TvEstimate",
     "build_grid",
     "discrepancy_density",
     "mixture_half",
+    "obfuscation_tv",
     "order_tuple",
     "random_pair_discrepancy",
     "rank_transform",

@@ -206,6 +206,18 @@ def test_test_rejects_malformed_spec(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_test_rejects_a_spec_whose_total_mass_overflows(runner, tmp_path):
+    p_path, _ = write_four_atoms(tmp_path)
+    huge = DiscreteGridDistribution.from_atoms({(0.0,): 1e308, (1.0,): 1e308})
+    q_path = tmp_path / "huge.json"
+    save_distribution_spec(huge, q_path, normalized=False)
+    result = runner.invoke(
+        main, ["test", str(p_path), str(q_path), "--k", "2", "--eps", "1.0"]
+    )
+    assert result.exit_code == 2
+    assert "total mass" in result.output
+
+
 def test_oracle_reports_value_and_witness(runner, tmp_path):
     p_path, q_path = write_four_atoms(tmp_path)
     result = runner.invoke(main, ["oracle", str(p_path), str(q_path), "--k", "2"])
@@ -330,6 +342,29 @@ def test_experiment_validates_its_config(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [
+        {"seed": "x"},
+        {"seed": [1, 2]},
+        {"trials": "many"},
+        {"k": "eight"},
+        {"k": [4, float("inf")]},
+        {"eps": [1.0, None]},
+        {"budget_multiplier": "double"},
+    ],
+)
+def test_experiment_refuses_non_numeric_values(runner, tmp_path, overrides):
+    # a value that is not a number is a usage error before any trial runs;
+    # a number out of range stays its own cell's error row
+    config = experiment_config(tmp_path, **overrides)
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "must be a number" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "constants",
     [
         {"c_kappa": 1e5, "bogus": 1},
@@ -340,6 +375,7 @@ def test_experiment_validates_its_config(runner, tmp_path):
         [1.0],
         {"robust_const": 0},
         {"c_kappa": -1.0},
+        {"c_kappa": 10**400},  # an int beyond float range
     ],
 )
 def test_experiment_checks_constants_like_the_test_command(

@@ -72,6 +72,13 @@ def test_sampling_zero_measure_fails():
         d.sample(1, np.random.default_rng(0))
 
 
+def test_sampling_a_measure_whose_total_overflows_fails():
+    # each weight is finite, their sum is not
+    d = DiscreteGridDistribution([(0.0, 1.0)], {(0,): 1e308, (1,): 1e308})
+    with pytest.raises(InvalidInput, match="total mass"):
+        d.sample(1, np.random.default_rng(0))
+
+
 def test_spec_round_trip_is_byte_identical(tmp_path):
     d = DiscreteGridDistribution.from_atoms(
         {(0.25, 0.75): 0.125, (0.5, 0.1): 0.375, (0.75, 0.9): 0.5}

@@ -13,8 +13,8 @@ from aktest import (
     InvalidInput,
     MonotoneMap,
     ak_distance_bruteforce,
+    gap_ratio_tv,
     gen_hard_instance,
-    obfuscation_tv,
     order_tuple_distribution_distance,
     sample_monotone_map,
 )
@@ -531,23 +531,62 @@ def test_many_maps_validation():
         wide.apply(0.5)
 
 
-def test_obfuscation_tv_shrinks_with_scale():
-    # The binned TV between two triples with different gap ratios decays
-    # like O(log log log W / log log W), so it must fall as W sweeps
-    # 10^3 -> 10^12.
-    rng = np.random.default_rng(41)
+@pytest.mark.parametrize(
+    "scale, triple_one, triple_two, tv",
+    [
+        (1e3, (0.0, 0.2, 0.9), (0.0, 0.7, 0.9), 0.6780733),
+        (1e6, (0.0, 0.2, 0.9), (0.0, 0.7, 0.9), 0.4796569),
+        (1e12, (0.0, 0.2, 0.9), (0.0, 0.7, 0.9), 0.3775210),
+        (1e12, (0.0, 0.4, 1.0), (0.0, 0.6, 1.0), 0.1221674),
+    ],
+)
+def test_gap_ratio_tv_pins_exact_values(scale, triple_one, triple_two, tv):
+    assert gap_ratio_tv(scale, triple_one, triple_two) == pytest.approx(tv, rel=1e-6)
+
+
+def test_gap_ratio_tv_meets_the_log_log_limit():
+    # for large W the two laws are uniforms of width log log W shifted by
+    # |log((c - b) / (c' - b'))|, so the maps hide the ratio at 1 / log log W
+    w = 1e100
+    limit = abs(math.log(0.6 / 0.4)) / math.log(math.log(w))
+    assert gap_ratio_tv(w, (0.0, 0.4, 1.0), (0.0, 0.6, 1.0)) == pytest.approx(
+        limit, abs=1e-9
+    )
+
+
+def test_gap_ratio_tv_is_symmetric_and_translation_invariant():
     t1, t2 = (0.0, 0.2, 0.9), (0.0, 0.7, 0.9)
-    estimates = [
-        obfuscation_tv(w, t1, t2, 4000, rng).estimate for w in (1e3, 1e6, 1e12)
-    ]
-    assert estimates[0] > estimates[1] > estimates[2]
-    assert estimates[0] - estimates[2] > 0.1
+    for w in (1e3, 1e12):
+        assert gap_ratio_tv(w, t1, t2) == gap_ratio_tv(w, t2, t1)
+        assert gap_ratio_tv(w, t1, t1) == 0.0
+        # the gap ratio depends on the triple's differences only
+        assert gap_ratio_tv(w, t1, (0.1, 0.3, 1.0)) < 1e-9
 
 
-def test_obfuscation_tv_separated_triples_near_zero_at_scale():
-    # gaps 0.4 satisfy the separation condition at W >= 10^6; at W = 10^12
-    # the laws are nearly indistinguishable
-    rng = np.random.default_rng(43)
-    est = obfuscation_tv(1e12, (0.0, 0.4, 1.0), (0.0, 0.6, 1.0), 4000, rng)
-    assert est.estimate < 0.15
-    assert est.cells <= 8**3
+def test_gap_ratio_tv_validation():
+    t = (0.0, 0.5, 1.0)
+    with pytest.raises(InvalidInput, match="e\\^e"):
+        gap_ratio_tv(math.exp(math.e), t, t)
+    with pytest.raises(InvalidInput):
+        gap_ratio_tv(1e6, t, (0.0, 0.9, 0.5))
+    with pytest.raises(InvalidInput):
+        gap_ratio_tv(1e6, (0.2, 0.5, 1.2), t)
+    # a gap of 1e-13 leaves log log A at rounding noise, not increasing
+    with pytest.raises(InvalidInput, match="strictly increasing"):
+        gap_ratio_tv(1e6, t, (0.0, 0.5, 0.5 + 1e-13))
+
+
+def test_gap_ratio_tv_law_matches_the_sampled_maps():
+    # the sampled maps' log log A fits the CDF (psi^-1(x) - L) / L that
+    # gap_ratio_tv integrates; sqrt(n) KS < 1.95 is its 0.1 % level
+    w, triple, n = 1e6, (0.0, 0.2, 0.9), 200_000
+    draws = np.sort(
+        sample_monotone_map(w, np.random.default_rng(5), n).triple_coords(*triple)[0]
+    )
+    loglog = math.log(math.log(w))
+    lam = np.linspace(loglog, 2 * loglog, 1 << 16)
+    psi = MonotoneMap(lam, 0.0, 0.0, w).triple_coords(*triple)[0]
+    cdf = (np.interp(draws, psi, lam) - loglog) / loglog
+    steps = np.arange(n + 1) / n
+    ks = max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max())
+    assert math.sqrt(n) * ks < 1.95
