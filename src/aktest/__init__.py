@@ -56,7 +56,6 @@ from .tester import (
     flatten_set_count,
     hypothesis_equivalence_test,
     kappa,
-    load_practical_constants,
     sample_budget,
     tv_histogram_test,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "kappa",
     "l2_collision_statistic",
     "load_distribution_spec",
-    "load_practical_constants",
     "make_instance",
     "order_tuple_distribution_distance",
     "rect_from_points",

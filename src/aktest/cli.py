@@ -24,12 +24,7 @@ from .errors import InvalidInput
 from .families import FAMILY_NAMES, make_instance
 from .hardness import gen_hard_instance
 from .oracle import ak_distance_bruteforce
-from .tester import (
-    TesterConfig,
-    ak_closeness_test,
-    check_constants,
-    load_practical_constants,
-)
+from .tester import TesterConfig, ak_closeness_test, check_constants
 from .verify import SUITES
 
 RESULTS_SCHEMA = "akr2"
@@ -82,9 +77,14 @@ def cmd_test(p_spec, q_spec, k, eps, seed, mode, constants):
                 f"dimension mismatch: {p_spec} is {p.dim}-dimensional, "
                 f"{q_spec} is {q.dim}-dimensional"
             )
-        overrides = {} if constants is None else load_practical_constants(constants)
-        config = _make_config(k, p.dim, eps, mode, seed=seed, **overrides)
-        result = ak_closeness_test(p.sample, q.sample, config)
+        overrides = {}
+        if constants is not None:
+            with open(constants, "r", encoding="utf-8") as fh:
+                overrides = check_constants(json.load(fh))
+        config = _make_config(k, p.dim, eps, mode, **overrides)
+        result = ak_closeness_test(
+            p.sample, q.sample, config, np.random.default_rng(seed)
+        )
     except (InvalidInput, json.JSONDecodeError) as err:
         raise _usage(err) from err
     click.echo(
@@ -185,6 +185,8 @@ def _as_list(value) -> list:
 
 def _number(key: str, value, kind: type):
     """An experiment config value as int or float, or a usage error."""
+    if isinstance(value, bool):  # JSON true would pass as 1
+        raise InvalidInput(f"{key} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -267,6 +269,8 @@ def cmd_experiment(config_file, out, trials, jobs):
         n_trials = _number("trials", n_trials, int)
         if n_trials < 1:
             raise InvalidInput("trial count must be >= 1")
+        if not isinstance(spec.get("out", ""), str):
+            raise InvalidInput(f"out must be a string path, got {spec['out']!r}")
         out_path = Path(out if out is not None else spec.get("out", "results.csv"))
         is_new = not out_path.exists() or out_path.stat().st_size == 0
         if not is_new:

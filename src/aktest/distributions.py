@@ -83,8 +83,8 @@ class DiscreteGridDistribution:
     def total_mass(self) -> float:
         return float(sum(self.mass.values()))
 
-    def normalized(self, tol: float = _NORMALIZATION_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def normalized(self) -> bool:
+        return abs(self.total_mass - 1.0) <= _NORMALIZATION_TOL
 
     def point_of(self, idx: Sequence[int]) -> Point:
         return tuple(self.axes[j][i] for j, i in enumerate(idx))
@@ -135,7 +135,8 @@ def load_distribution_spec(path: str) -> DiscreteGridDistribution:
     Structure: {"dim": d, "axes": [[...], ...], "mass": [{"idx": [...],
     "w": ...}, ...], "normalized": bool}. Coordinates and weights are
     decimal strings in the file and parse to binary64 (plain JSON floats).
-    A true "normalized" flag is validated against the actual total mass.
+    "normalized" must be a JSON boolean; true is validated against the
+    actual total mass.
     """
     try:
         with open(path) as fh:
@@ -144,21 +145,18 @@ def load_distribution_spec(path: str) -> DiscreteGridDistribution:
         raise InvalidInput(f"cannot read distribution spec {path}: {exc}") from exc
     try:
         dim = int(raw["dim"])
-        axes = raw["axes"]
-        rows = raw["mass"]
-        normalized = bool(raw["normalized"])
-    except (KeyError, TypeError) as exc:
+        axes = [[float(v) for v in axis] for axis in raw["axes"]]
+        mass = {}
+        for row in raw["mass"]:
+            idx = tuple(int(i) for i in row["idx"])
+            mass[idx] = mass.get(idx, 0.0) + float(row["w"])
+        normalized = raw["normalized"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed distribution spec {path}: {exc}") from exc
+    if not isinstance(normalized, bool):
+        raise InvalidInput(f"normalized must be true or false, got {normalized!r}")
     if len(axes) != dim:
         raise InvalidInput(f"spec says dim={dim} but has {len(axes)} axes")
-    mass = {}
-    for row in rows:
-        try:
-            idx = tuple(int(i) for i in row["idx"])
-            w = float(row["w"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed mass row {row!r}: {exc}") from exc
-        mass[idx] = mass.get(idx, 0.0) + w
     dist = DiscreteGridDistribution(axes, mass)
     if normalized and not dist.normalized():
         raise InvalidInput(

@@ -22,8 +22,8 @@ from .errors import InvalidInput
 
 SampleAccess = Callable[[int, np.random.Generator], np.ndarray]
 
-DEFAULT_ROBUST_CONST = 4.0  # c_r in m = ceil(c_r sqrt(b) / eps^2)
-DEFAULT_FLATTEN_CONST = 2.0  # c_f in m0 = min(s/100, ceil(c_f eps^(-4/3)))
+_ROBUST_CONST = 4.0  # c_r in m = ceil(c_r sqrt(b) / eps^2)
+_FLATTEN_CONST = 2.0  # c_f in m0 = min(s/100, ceil(c_f eps^(-4/3)))
 _REPEATS = 3  # odd, so the verdict statistic (the median Z) is one run's Z
 _DRAW_CAP = 1 << 23  # largest Poisson mean robust_l2_test draws per side in one array
 
@@ -206,7 +206,6 @@ def robust_l2_test(
     eps: float,
     rng: np.random.Generator,
     *,
-    c_r: float = DEFAULT_ROBUST_CONST,
     counts_transform: Callable | None = None,
 ) -> TestVerdict:
     """Poissonized l2 closeness test robust to an l2-norm bound b.
@@ -225,7 +224,7 @@ def robust_l2_test(
         raise InvalidInput(f"norm bound b must be positive and finite, got {b}")
     if eps <= 0 or not math.isfinite(eps):
         raise InvalidInput(f"accuracy must be positive and finite, got {eps}")
-    m = math.ceil(c_r * math.sqrt(b) / (eps * eps))
+    m = math.ceil(_ROBUST_CONST * math.sqrt(b) / (eps * eps))
     if m > _DRAW_CAP:
         raise InvalidInput(
             f"l2 test needs Poi({m}) draws per side, above _DRAW_CAP = {_DRAW_CAP}"
@@ -258,9 +257,6 @@ def flatten_closeness(
     s: int,
     eps: float,
     rng: np.random.Generator,
-    *,
-    c_f: float = DEFAULT_FLATTEN_CONST,
-    c_r: float = DEFAULT_ROBUST_CONST,
 ) -> TestVerdict:
     """Closeness test after flattening with a mixture multiset.
 
@@ -276,7 +272,7 @@ def flatten_closeness(
         raise InvalidInput(f"light-element count s must be >= 1, got {s}")
     if eps <= 0:
         raise InvalidInput(f"accuracy must be positive, got {eps}")
-    cap = c_f * eps ** (-4.0 / 3.0)
+    cap = _FLATTEN_CONST * eps ** (-4.0 / 3.0)
     if not math.isfinite(cap):
         raise InvalidInput(f"flattening budget overflows at eps={eps}")
     m0 = max(1, min(s // 100, math.ceil(cap)))
@@ -292,7 +288,6 @@ def flatten_closeness(
         b=40.0 / m0,
         eps=eps / math.sqrt(3.0),
         rng=rng,
-        c_r=c_r,
         counts_transform=split.split_counts_arrays,
     )
     return replace(verdict, samples_used=verdict.samples_used + n_flat)

@@ -83,10 +83,10 @@ class SquareEdgeGadget:
             )
         return out
 
-    def on_support(self, a: Sequence[float], tol: float = _ON_SUPPORT_TOL) -> bool:
+    def on_support(self, a: Sequence[float]) -> bool:
         dx = abs(float(a[0]) - self.center[0])
         dy = abs(float(a[1]) - self.center[1])
-        return abs(dx + dy - self.radius) <= tol * max(1.0, self.radius)
+        return abs(dx + dy - self.radius) <= _ON_SUPPORT_TOL * max(1.0, self.radius)
 
     def rect_mass(self, rect: AxisRectangle) -> float:
         """Exact mass inside a closed rectangle (arc-length fractions).

@@ -20,25 +20,19 @@ compares, gap shift and clip, code arithmetic) runs over blocks of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
-from importlib import resources
 from typing import Callable
 
 import numpy as np
 
 from .covering import _BLOCK, CoverFamily
 from .errors import InvalidInput
-from .flatten import (
-    DEFAULT_FLATTEN_CONST,
-    DEFAULT_ROBUST_CONST,
-    flatten_closeness,
-)
+from .flatten import TestVerdict, flatten_closeness
 
 PointAccess = Callable[[int, np.random.Generator], np.ndarray]
 
-_PRACTICAL_FILE = "practical_constants.json"
+_PRACTICAL_PROFILE = {"c_kappa": 0.015, "s_multiplier": 1000.0}  # calibrated
 _BUDGET_CAP = 1 << 40
 _ALPHA_CONST = 1.0  # paper-mode exponent alpha = _ALPHA_CONST d^2 2^(2^(d+1))
 _CONSISTENCY_CONST = 1.0  # C in the budget/kappa consistency condition
@@ -51,8 +45,8 @@ class TesterConfig:
     In paper mode the accuracy exponent alpha defaults to d^2 * 2^(2^(d+1))
     and the budget/kappa consistency condition is enforced (it fails for
     every desk-scale input; paper mode is for formula inspection unless
-    alpha is overridden). Practical mode uses the calibrated constants
-    shipped in practical_constants.json.
+    alpha is overridden). Practical mode starts from the calibrated
+    constants in _PRACTICAL_PROFILE.
     """
 
     k: int
@@ -63,9 +57,6 @@ class TesterConfig:
     alpha: float | None = None
     s_multiplier: float = 1.0
     budget_multiplier: float = 1.0
-    robust_const: float = DEFAULT_ROBUST_CONST
-    flatten_const: float = DEFAULT_FLATTEN_CONST
-    seed: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 2:
@@ -105,12 +96,11 @@ class TesterConfig:
 
     @classmethod
     def practical(cls, k: int, d: int, eps: float, **overrides) -> "TesterConfig":
-        profile = load_practical_constants()
-        profile.update(overrides)
+        profile = {**_PRACTICAL_PROFILE, **overrides}
         return cls(k=k, d=d, eps=eps, mode="practical", **profile)
 
 
-_INSTANCE_FIELDS = {"k", "d", "eps", "mode", "seed"}
+_INSTANCE_FIELDS = {"k", "d", "eps", "mode"}
 _CONSTANT_KEYS = {f.name for f in fields(TesterConfig)} - _INSTANCE_FIELDS
 
 
@@ -136,37 +126,19 @@ def check_constants(profile) -> dict:
     return out
 
 
-def load_practical_constants(path=None) -> dict:
-    """The calibrated constants profile (checked-in JSON, or a file)."""
-    if path is None:
-        text = resources.files("aktest").joinpath(_PRACTICAL_FILE).read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return check_constants(json.loads(text))
-
-
 @dataclass(frozen=True)
-class AkTestResult:
+class AkTestResult(TestVerdict):
     """Verdict plus the run's derived quantities.
 
-    reject holds iff statistic >= threshold; samples_used counts every
-    point drawn from the two accesses (batch, flattening, and test draws).
+    samples_used counts every point drawn from the two accesses (batch,
+    flattening, and test draws).
     """
 
-    accept: bool
-    statistic: float
-    threshold: float
-    samples_used: int
     kappa: float
     budget: int
     batch_size: int
     grid_values: int
     flatten_sets: int
-
-    @property
-    def decision(self) -> str:
-        return "accept" if self.accept else "reject"
 
 
 def sample_budget(config: TesterConfig) -> int:
@@ -308,6 +280,11 @@ class LadderLookup:
         over the ties, ``rng.integers(0, ties + 1)``, written into ``out``
         (an int64 array of len(x)) when one is given.
 
+        A query tied with t ladder values lands in a uniform slot among the
+        t + 1 around them: its rank under an independent infinitesimal
+        jitter of every point. This continuous-jitter lift stands in for
+        the paper's assumption that every coordinate has a continuous CDF.
+
         The counts are found one block of queries at a time; the tie draw is
         one whole-array call. A draw over no ties consumes nothing from the
         generator, so it is skipped when no query ties; the stream depends
@@ -396,7 +373,7 @@ def ak_closeness_test(
     p_access: PointAccess,
     q_access: PointAccess,
     config: TesterConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AkTestResult:
     """Decide p = q versus A_k distance >= eps from sample access alone.
 
@@ -405,8 +382,6 @@ def ak_closeness_test(
     practical mode trades the guarantee's constants for desk-scale budgets
     and is validated empirically on planted families).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     m = sample_budget(config)
     kap = kappa(config, m)
     if config.mode == "paper" and not consistency_satisfied(config, m, kap):
@@ -435,8 +410,6 @@ def ak_closeness_test(
         s,
         math.sqrt(kap),
         rng,
-        c_f=config.flatten_const,
-        c_r=config.robust_const,
     )
     return AkTestResult(
         accept=verdict.accept,
@@ -455,7 +428,7 @@ def tv_histogram_test(
     p_access: PointAccess,
     q_access: PointAccess,
     config: TesterConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AkTestResult:
     """Total-variation closeness for k-histograms on a shared partition.
 
@@ -495,7 +468,7 @@ def hypothesis_equivalence_test(
     h1_access: LabeledPointAccess,
     h2_access: LabeledPointAccess,
     config: TesterConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AkTestResult:
     """Equivalence of two k-rectangle-union hypotheses from labeled draws.
 

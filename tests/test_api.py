@@ -14,6 +14,7 @@ REMOVED = (
     "TvEstimate",
     "build_grid",
     "discrepancy_density",
+    "load_practical_constants",
     "mixture_half",
     "obfuscation_tv",
     "order_tuple",

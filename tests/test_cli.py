@@ -114,17 +114,15 @@ def test_test_round_trip_accepts_generated_equal_pair(runner, tmp_path):
 
 @pytest.mark.parametrize("value", [0, -1])
 def test_test_rejects_nonpositive_constants(runner, tmp_path, value):
-    # robust_const = 0 used to reject p = q (exit 1), and -1 failed inside
-    # numpy with the same exit code
     out, _ = gen_hard(runner, tmp_path, "equal")
-    constants = write_constants(tmp_path, robust_const=value)
+    constants = write_constants(tmp_path, c_kappa=value)
     result = runner.invoke(
         main,
         ["test", str(out / "p.json"), str(out / "q.json"),
          "--k", "8", "--eps", "1.0", "--constants", str(constants)],
     )
     assert result.exit_code == 2, result.output
-    assert "robust_const must be a positive real" in result.output
+    assert "c_kappa must be a positive real" in result.output
 
 
 # Strictly increasing on the lattice coordinates below, so equal
@@ -216,6 +214,21 @@ def test_test_rejects_a_spec_whose_total_mass_overflows(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "total mass" in result.output
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("axes", 5), ("axes", [[1.0, "x"]]), ("normalized", "false")],
+    ids=["axes-not-a-list", "coordinate-not-a-number", "normalized-not-a-boolean"],
+)
+def test_malformed_specs_are_usage_errors(runner, tmp_path, field, value):
+    p_path, q_path = write_four_atoms(tmp_path)
+    spec = json.loads(q_path.read_text())
+    spec[field] = value
+    q_path.write_text(json.dumps(spec))
+    for command in (["test", "--eps", "1.0"], ["oracle"]):
+        result = runner.invoke(main, [*command, str(p_path), str(q_path), "--k", "2"])
+        assert result.exit_code == 2, result.output
 
 
 def test_oracle_reports_value_and_witness(runner, tmp_path):
@@ -351,6 +364,8 @@ def test_experiment_validates_its_config(runner, tmp_path):
         {"k": [4, float("inf")]},
         {"eps": [1.0, None]},
         {"budget_multiplier": "double"},
+        {"seed": True},  # not run as seed 1
+        {"out": 5},
     ],
 )
 def test_experiment_refuses_non_numeric_values(runner, tmp_path, overrides):
@@ -360,7 +375,8 @@ def test_experiment_refuses_non_numeric_values(runner, tmp_path, overrides):
     out = tmp_path / "results.csv"
     result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert "must be a number" in result.output
+    expected = "must be a string" if "out" in overrides else "must be a number"
+    assert expected in result.output
     assert not out.exists()
 
 
@@ -373,7 +389,8 @@ def test_experiment_refuses_non_numeric_values(runner, tmp_path, overrides):
         {"c_kappa": "large"},
         {"s_multiplier": None},
         [1.0],
-        {"robust_const": 0},
+        {"robust_const": 4.0},  # an analysis constant, not an option
+        {"s_multiplier": 0},
         {"c_kappa": -1.0},
         {"c_kappa": 10**400},  # an int beyond float range
     ],

@@ -1,6 +1,5 @@
 """The end-to-end closeness tester and its budget formulas."""
 
-import json
 import math
 import time
 
@@ -17,7 +16,6 @@ from aktest import (
     flatten_set_count,
     hypothesis_equivalence_test,
     kappa,
-    load_practical_constants,
     make_instance,
     sample_budget,
     tv_histogram_test,
@@ -29,6 +27,7 @@ from aktest.tester import (
     _choice_index,
     _encoded_access,
     _padded_size,
+    check_constants,
 )
 from test_covering import BLOCK_EDGES, reference_codes
 
@@ -42,7 +41,7 @@ def uniform_access(d=1):
 
 def cheap_config(**overrides):
     """Tiny budgets end to end: huge kappa makes the inner test trivial."""
-    base = dict(k=4, d=1, eps=1.0, c_kappa=1e4, s_multiplier=1.0, seed=7)
+    base = dict(k=4, d=1, eps=1.0, c_kappa=1e4, s_multiplier=1.0)
     base.update(overrides)
     return TesterConfig(**base)
 
@@ -69,8 +68,6 @@ def test_config_validation():
 @pytest.mark.parametrize("name", sorted(_CONSTANT_KEYS))
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_every_constant_must_be_positive_and_finite(name, value):
-    # robust_const = 0 used to pass and make the statistic 0.0 meet the
-    # threshold 0.0, a reject on p = q; a negative one failed inside numpy
     with pytest.raises(InvalidInput, match=f"^{name} must be a positive real"):
         TesterConfig(k=4, d=1, eps=1.0, **{name: value})
     with pytest.raises(InvalidInput, match=name):
@@ -150,34 +147,34 @@ def test_flatten_set_count_formula():
 
 
 def test_practical_profile_loads_and_overrides():
-    profile = load_practical_constants()
     config = TesterConfig.practical(8, 2, 1.0)
-    assert config.c_kappa == profile["c_kappa"]
-    assert config.s_multiplier == profile["s_multiplier"]
+    assert (config.c_kappa, config.s_multiplier) == (0.015, 1000.0)
     assert TesterConfig.practical(8, 2, 1.0, c_kappa=0.5).c_kappa == 0.5
     # the profile leaves alpha unset, and practical mode's exponent is 1
     assert config.alpha is None and config.alpha_d == 1.0
 
 
-def test_practical_profile_rejects_unknown_keys(tmp_path):
-    bad = tmp_path / "constants.json"
-    bad.write_text(json.dumps({"c_kappa": 0.01, "mystery": 2.0}))
-    with pytest.raises(InvalidInput):
-        load_practical_constants(bad)
-    good = tmp_path / "ok.json"
-    good.write_text(json.dumps({"c_kappa": 0.25}))
-    assert load_practical_constants(good) == {"c_kappa": 0.25}
+def test_practical_profile_rejects_unknown_keys():
+    # the analysis constants c_r and c_f are not options
+    for bad in ({"c_kappa": 0.01, "mystery": 2.0}, {"robust_const": 4.0}):
+        with pytest.raises(InvalidInput, match="unknown constants"):
+            check_constants(bad)
+    assert check_constants({"c_kappa": 1}) == {"c_kappa": 1.0}
 
 
 def test_paper_mode_consistency_gate():
     config = TesterConfig.paper(8, 1, 1.0)
     with pytest.raises(InvalidInput, match="consistency"):
-        ak_closeness_test(uniform_access(), uniform_access(), config)
+        ak_closeness_test(
+            uniform_access(), uniform_access(), config, np.random.default_rng(0)
+        )
 
 
 def test_end_to_end_result_fields():
     config = cheap_config()
-    result = ak_closeness_test(uniform_access(), uniform_access(), config)
+    result = ak_closeness_test(
+        uniform_access(), uniform_access(), config, np.random.default_rng(7)
+    )
     assert result.budget == sample_budget(config)
     assert result.kappa == kappa(config, result.budget)
     assert result.flatten_sets == flatten_set_count(config, result.budget)
@@ -190,24 +187,21 @@ def test_end_to_end_result_fields():
 
 
 def test_seeded_runs_are_reproducible():
-    config = cheap_config(seed=42)
-    a = ak_closeness_test(uniform_access(), uniform_access(), config)
-    b = ak_closeness_test(uniform_access(), uniform_access(), config)
+    config = cheap_config()
+    a = ak_closeness_test(
+        uniform_access(), uniform_access(), config, np.random.default_rng(42)
+    )
+    b = ak_closeness_test(
+        uniform_access(), uniform_access(), config, np.random.default_rng(42)
+    )
     assert a == b
-    c = ak_closeness_test(
-        uniform_access(), uniform_access(), config, np.random.default_rng(5)
-    )
-    d = ak_closeness_test(
-        uniform_access(), uniform_access(), config, np.random.default_rng(5)
-    )
-    assert c == d
 
 
 def test_access_shape_is_checked():
     config = cheap_config()
     bad = lambda n, rng: rng.random((n, 3))
     with pytest.raises(InvalidInput, match="must return"):
-        ak_closeness_test(bad, uniform_access(), config)
+        ak_closeness_test(bad, uniform_access(), config, np.random.default_rng(7))
 
 
 def test_empty_batch_is_reported():
@@ -227,10 +221,12 @@ def test_l2_draw_cap_stops_a_shrunken_flattening():
     # s_multiplier 0.5 leaves a one-point flattening, so the l2 test would
     # need Poi(m) draws per side far above the cap, several GB of codes
     inst = make_instance("uniform-equal", 8, 1.0, np.random.default_rng(0))
-    config = TesterConfig.practical(8, 2, 1.0, s_multiplier=0.5, seed=0)
+    config = TesterConfig.practical(8, 2, 1.0, s_multiplier=0.5)
     started = time.perf_counter()
     with pytest.raises(InvalidInput, match="_DRAW_CAP"):
-        ak_closeness_test(inst.p_access, inst.q_access, config)
+        ak_closeness_test(
+            inst.p_access, inst.q_access, config, np.random.default_rng(0)
+        )
     assert time.perf_counter() - started < 10
 
 
@@ -256,19 +252,23 @@ def test_verdict_invariant_under_monotone_reparametrization():
 
 
 def test_tv_histogram_doubles_the_accuracy():
-    config = cheap_config(eps=0.4, seed=3)
-    via_tv = tv_histogram_test(uniform_access(), uniform_access(), config)
+    tv_rng, ak_rng = np.random.default_rng(3), np.random.default_rng(3)
+    via_tv = tv_histogram_test(
+        uniform_access(), uniform_access(), cheap_config(eps=0.4), tv_rng
+    )
     direct = ak_closeness_test(
-        uniform_access(), uniform_access(), cheap_config(eps=0.8, seed=3)
+        uniform_access(), uniform_access(), cheap_config(eps=0.8), ak_rng
     )
     assert via_tv == direct
 
 
 def test_tv_histogram_caps_vacuous_accuracies():
-    config = cheap_config(eps=1.5, seed=3)
-    capped = tv_histogram_test(uniform_access(), uniform_access(), config)
+    tv_rng, ak_rng = np.random.default_rng(3), np.random.default_rng(3)
+    capped = tv_histogram_test(
+        uniform_access(), uniform_access(), cheap_config(eps=1.5), tv_rng
+    )
     direct = ak_closeness_test(
-        uniform_access(), uniform_access(), cheap_config(eps=2.0, seed=3)
+        uniform_access(), uniform_access(), cheap_config(eps=2.0), ak_rng
     )
     assert capped == direct
 
@@ -278,12 +278,12 @@ def test_hypothesis_equivalence_accepts_identical_hypotheses():
         x = rng.random((n, 2))
         return x, (x[:, 0] < 0.5).astype(int)
 
-    config = cheap_config(k=4, d=2, eps=1.0, seed=9)
-    result = hypothesis_equivalence_test(labeled, labeled, config)
-    # the delegate runs at accuracy eps / 2
-    assert result.kappa == kappa(
-        cheap_config(k=4, d=2, eps=0.5, seed=9), result.budget
+    config = cheap_config(k=4, d=2, eps=1.0)
+    result = hypothesis_equivalence_test(
+        labeled, labeled, config, np.random.default_rng(9)
     )
+    # the delegate runs at accuracy eps / 2
+    assert result.kappa == kappa(cheap_config(k=4, d=2, eps=0.5), result.budget)
     assert result.accept
 
 
@@ -291,9 +291,9 @@ def test_hypothesis_equivalence_checks_label_shapes():
     def bad(n, rng):
         return rng.random((n, 2)), np.zeros((n, 2))
 
-    config = cheap_config(k=4, d=2, eps=1.0, seed=9)
+    config = cheap_config(k=4, d=2, eps=1.0)
     with pytest.raises(InvalidInput, match="labeled access"):
-        hypothesis_equivalence_test(bad, bad, config)
+        hypothesis_equivalence_test(bad, bad, config, np.random.default_rng(9))
 
 
 def reference_positions(ladder, x, rng):
@@ -470,9 +470,9 @@ def test_non_finite_batch_coordinates_are_rejected(bad):
         pts[: min(n, 1), 1] = bad
         return pts
 
-    config = cheap_config(k=4, d=2, seed=5)
+    config = cheap_config(k=4, d=2)
     with pytest.raises(InvalidInput, match="non-finite"):
-        ak_closeness_test(access, uniform_access(2), config)
+        ak_closeness_test(access, uniform_access(2), config, np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -489,6 +489,11 @@ def test_non_finite_fresh_coordinates_are_rejected(bad):
 
         return access
 
-    config = cheap_config(k=4, d=2, seed=5)
+    config = cheap_config(k=4, d=2)
     with pytest.raises(InvalidInput, match="non-finite"):
-        ak_closeness_test(finite_only_in_the_batch(), finite_only_in_the_batch(), config)
+        ak_closeness_test(
+            finite_only_in_the_batch(),
+            finite_only_in_the_batch(),
+            config,
+            np.random.default_rng(5),
+        )
