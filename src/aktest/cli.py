@@ -184,13 +184,19 @@ def _as_list(value) -> list:
 
 
 def _number(key: str, value, kind: type):
-    """An experiment config value as int or float, or a usage error."""
-    if isinstance(value, bool):  # JSON true would pass as 1
-        raise InvalidInput(f"{key} must be a number, got {value!r}")
+    """An experiment config value as int or float, or a usage error.
+
+    An int must be a JSON integer and a float any JSON number: strings,
+    booleans and fractions are refused, not converted.
+    """
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a JSON number"
+        raise InvalidInput(f"{key} must be a number ({what}), got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"{key} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an int beyond float range
+        raise InvalidInput(f"{key} must be a number in float range") from exc
 
 
 def _run_trial(task: dict) -> dict:
@@ -210,7 +216,8 @@ def _run_trial(task: dict) -> dict:
             instance.d,
             task["eps"],
             task["mode"],
-            **{**task["constants"], "budget_multiplier": task["budget_multiplier"]},
+            budget_multiplier=task["budget_multiplier"],
+            **task["constants"],
         )
         result = ak_closeness_test(instance.p_access, instance.q_access, config, rng)
         row.update(
@@ -234,9 +241,11 @@ def _run_trial(task: dict) -> dict:
 def cmd_experiment(config_file, out, trials, jobs):
     """Run a seeded trial sweep from a JSON config and append a results CSV.
 
-    Sweep axes: family, k, eps, budget_multiplier (scalars or lists); the
-    constants object is checked like `test --constants` (keys, types and
-    ranges) before any trial runs. Rows are
+    Sweep axes: family, k, eps, budget_multiplier (scalars or lists); seed,
+    trials and k must be JSON integers, eps and budget_multiplier JSON
+    numbers. The constants object is checked like `test --constants` (keys,
+    types and ranges) before any trial runs, and may not hold the sweep
+    axis budget_multiplier. Rows are
     deterministic given (config, seed) except the wall_ms column; jobs
     only changes the schedule, never the rows. A trial that raises becomes
     a verdict=error row carrying the exception text; the sweep still
@@ -282,6 +291,11 @@ def cmd_experiment(config_file, out, trials, jobs):
                     f" {RESULTS_SCHEMA} header {CSV_HEADER!r}; write to a new file"
                 )
         constants = check_constants(spec.get("constants", {}))
+        if "budget_multiplier" in constants:
+            raise InvalidInput(
+                "budget_multiplier is a sweep axis; set it at the top level of"
+                " the config, not in constants"
+            )
         # range-check the profile once, on a valid instance, so that a bad
         # profile is a usage error and a bad k stays its own cell's error row
         TesterConfig.practical(2, 1, 1.0, **constants)

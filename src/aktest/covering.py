@@ -198,13 +198,15 @@ class CoverFamily:
         gaps: (n, d) int array, -1 marking "outside the span" on that axis.
         Returns (n,) int64 codes; EMPTY_CODE for any row with an outside
         axis. One uniform level draw per axis per row, consumed regardless
-        of emptiness so the rng stream depends only on n.
+        of emptiness so the rng stream depends only on n; the levels are
+        int32, the same stream as an int64 draw, and gap + m must fit the
+        gaps' dtype.
         """
         gaps = np.asarray(gaps)
         if gaps.ndim != 2 or gaps.shape[1] != self.dim:
             raise InvalidInput("gaps must have shape (n, d)")
         n = gaps.shape[0]
-        levels = rng.integers(1, self.levels + 1, size=(n, self.dim))
+        levels = rng.integers(1, self.levels + 1, size=(n, self.dim), dtype=np.int32)
         base = np.int64(self.per_axis_count)
         offset = 0  # the flat offsets, -2 per axis, in mixed radix
         for _ in range(self.dim):

@@ -39,8 +39,10 @@ class FamilyInstance:
 
 def _uniform_lattice_access(side: int) -> PointAccess:
     def access(n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(0, side, size=(n, 2))
-        return (idx + 0.5) / side
+        idx = rng.integers(0, side, size=(n, 2), dtype=np.int32)
+        pts = np.add(idx.T, 0.5, out=np.empty((2, n)))  # (idx + 0.5) / side
+        pts /= side
+        return pts.T
 
     return access
 

@@ -191,12 +191,21 @@ def build_split_map(samples) -> SplitMap:
 def _draw_counts(
     access: SampleAccess, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n samples; their sorted distinct codes and int64 counts."""
+    """Draw n samples; their sorted distinct codes and int64 counts.
+
+    np.unique's result from one sort, with no flattened or cast copy; the
+    unsorted draw is freed before the run starts are found.
+    """
     samples = np.asarray(access(n, rng))
     if samples.ndim != 1:
         raise InvalidInput("sample accesses must return 1-d codes")
-    uids, counts = np.unique(samples, return_counts=True)
-    return uids, counts.astype(np.int64)
+    ordered = np.sort(samples)
+    del samples
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(starts, append=len(ordered))
 
 
 def robust_l2_test(

@@ -10,8 +10,18 @@ Everything after the batch draw consumes only comparisons against batch
 coordinates, so strictly monotone per-axis transforms of all inputs leave
 the verdict bit-for-bit unchanged for a fixed seed.
 
-Per fresh sample, the only full-length arrays are the RNG draws (points,
-tie positions, cover levels), the (n, d) gap matrix and the output codes.
+Per fresh sample of a d-dimensional test, the full-length arrays are:
+
+- the points, (n, d) float64, 8d bytes, freed after the last axis lookup;
+- the tie bounds and the tie draw, (n,) int32 each, 4 bytes, only while an
+  axis has a tied query;
+- the (n, d) int32 gap matrix, 4d bytes, which the tie draw adds into;
+- the (n, d) int32 cover levels, 4d bytes;
+- the (n,) int64 codes, 8 bytes, and their sorted copy in the count stage.
+
+Every int32 draw is the int64 draw's stream: numpy draws a bound below
+2^32 with one 32-bit word per try whatever the output dtype. A batch of at
+most ``_BATCH_CAP`` points keeps every rank, gap and gap + m below 2^31.
 Every RNG draw is one whole-array call, so the stream does not depend on
 blocking; the deterministic work after each draw (bucket lookup, slot
 compares, gap shift and clip, code arithmetic) runs over blocks of
@@ -34,6 +44,7 @@ PointAccess = Callable[[int, np.random.Generator], np.ndarray]
 
 _PRACTICAL_PROFILE = {"c_kappa": 0.015, "s_multiplier": 1000.0}  # calibrated
 _BUDGET_CAP = 1 << 40
+_BATCH_CAP = 1 << 30  # largest batch: ranks, gaps and gap + m stay int32
 _ALPHA_CONST = 1.0  # paper-mode exponent alpha = _ALPHA_CONST d^2 2^(2^(d+1))
 _CONSISTENCY_CONST = 1.0  # C in the budget/kappa consistency condition
 
@@ -231,8 +242,8 @@ class LadderLookup:
         )
         # One entry past the top value: +inf, every ladder value below, no ties.
         self._values = np.append(values, np.inf)
-        self._left = np.append(left, len(ladder))
-        self._ties = np.append(ties, 0)
+        self._left = np.append(left, len(ladder)).astype(np.int32)
+        self._ties = np.append(ties, 0).astype(np.int32)
         self._slots = None
         if len(values) < 2:
             return
@@ -278,7 +289,7 @@ class LadderLookup:
     ) -> np.ndarray:
         """Rank positions: the strictly-smaller count plus a uniform draw
         over the ties, ``rng.integers(0, ties + 1)``, written into ``out``
-        (an int64 array of len(x)) when one is given.
+        (an int32 array of len(x)) when one is given, else into a new one.
 
         A query tied with t ladder values lands in a uniform slot among the
         t + 1 around them: its rank under an independent infinitesimal
@@ -288,10 +299,10 @@ class LadderLookup:
         The counts are found one block of queries at a time; the tie draw is
         one whole-array call. A draw over no ties consumes nothing from the
         generator, so it is skipped when no query ties; the stream depends
-        only on the ties.
+        only on the ties. It draws int32, the same stream as an int64 draw.
         """
         if out is None:
-            out = np.empty(len(x), dtype=np.int64)
+            out = np.empty(len(x), dtype=np.int32)
         bounds = None  # ties + 1, filled only in blocks that hold a tie
         for s in range(0, len(x), _BLOCK):
             block = slice(s, s + _BLOCK)
@@ -300,10 +311,10 @@ class LadderLookup:
             hit = self._values[i] == x[block]
             if hit.any():
                 if bounds is None:
-                    bounds = np.ones(len(x), dtype=np.int64)
+                    bounds = np.ones(len(x), dtype=np.int32)
                 np.add(self._ties[i], 1, out=bounds[block], where=hit)
         if bounds is not None:
-            out += rng.integers(0, bounds)
+            out += rng.integers(0, bounds, dtype=np.int32)
         return out
 
 
@@ -325,7 +336,7 @@ def _choice_index(masses) -> Callable[[np.ndarray], np.ndarray]:
         out = np.empty(len(u), dtype=np.int64)
         for s in range(0, len(u), _BLOCK):
             i = lookup._index(u[s : s + _BLOCK], side="right")
-            np.take(lookup._left, i, out=out[s : s + _BLOCK], mode="clip")
+            out[s : s + _BLOCK] = lookup._left[i]  # int32 table, int64 out
         return out
 
     return index
@@ -356,14 +367,15 @@ def _encoded_access(
     top_gap, d = cover.m - 1, cover.dim
 
     def access(n: int, rng: np.random.Generator) -> np.ndarray:
-        pts = _draw(side_access, n, d, rng)
-        gaps = np.empty((d, n), dtype=np.int64).T  # contiguous columns
-        for j, (lookup, x) in enumerate(zip(lookups, np.ascontiguousarray(pts.T))):
-            gap = lookup.positions(x, rng, out=gaps[:, j])
+        columns = np.ascontiguousarray(_draw(side_access, n, d, rng).T)
+        gaps = np.empty((d, n), dtype=np.int32).T  # contiguous columns
+        for j, lookup in enumerate(lookups):
+            gap = lookup.positions(columns[j], rng, out=gaps[:, j])
             for s in range(0, n, _BLOCK):
                 block = gap[s : s + _BLOCK]
                 block -= 1
                 block[block > top_gap] = -1
+        del columns  # free the points before the level draw
         return cover.sample_ids_encoded(gaps, rng)
 
     return access
@@ -393,6 +405,11 @@ def ak_closeness_test(
     d = config.d
     n_p = int(rng.poisson(m / 2.0))
     n_q = int(rng.poisson(m / 2.0))
+    if n_p + n_q > _BATCH_CAP:
+        raise InvalidInput(
+            f"a batch of {n_p + n_q} points exceeds _BATCH_CAP = {_BATCH_CAP}; "
+            "lower budget_multiplier or the constants"
+        )
     batch = np.vstack([_draw(p_access, n_p, d, rng), _draw(q_access, n_q, d, rng)])
     n = len(batch)
     if n == 0:

@@ -366,17 +366,32 @@ def test_experiment_validates_its_config(runner, tmp_path):
         {"budget_multiplier": "double"},
         {"seed": True},  # not run as seed 1
         {"out": 5},
+        {"k": 4.7},  # not run as k = 4
+        {"seed": "12"},  # not run as seed 12
+        {"eps": "1.0"},
     ],
 )
 def test_experiment_refuses_non_numeric_values(runner, tmp_path, overrides):
-    # a value that is not a number is a usage error before any trial runs;
-    # a number out of range stays its own cell's error row
+    # a value that is not a number of its kind is a usage error before any
+    # trial runs; a number out of range stays its own cell's error row
     config = experiment_config(tmp_path, **overrides)
     out = tmp_path / "results.csv"
     result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
     assert result.exit_code == 2, result.output
     expected = "must be a string" if "out" in overrides else "must be a number"
     assert expected in result.output
+    assert not out.exists()
+
+
+def test_experiment_refuses_budget_multiplier_in_constants(runner, tmp_path):
+    # the sweep value would silently replace it, so it must be set at the top
+    config = experiment_config(
+        tmp_path, constants={"c_kappa": 1e5, "budget_multiplier": 4.0}
+    )
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "top level" in result.output
     assert not out.exists()
 
 

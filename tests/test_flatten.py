@@ -173,6 +173,29 @@ def test_array_statistic_matches_dict_statistic(counts_p, counts_q):
     assert z == l2_collision_statistic(counts_p, counts_q)
 
 
+@pytest.mark.parametrize(
+    "counts_p, counts_q, dtype",
+    [
+        ({}, {}, np.int64),
+        ({}, {3: 2, 5: 1}, np.int64),
+        ({3: 2, 5: 1}, {}, np.int64),
+        ({1: 4, 2: 1}, {3: 2, 7: 5}, np.int64),  # disjoint
+        ({1: 4, 2: 1, 9: 3}, {1: 4, 2: 1, 9: 3}, np.int64),  # identical
+        ({"a": 2, "c": 1}, {"b": 3, "c": 4, "d": 1}, str),
+        ({}, {"b": 3}, str),
+    ],
+)
+def test_array_statistic_edge_cases(counts_p, counts_q, dtype):
+    def arrays(counts):
+        keys = sorted(counts)
+        return np.array(keys, dtype=dtype), np.array(
+            [counts[k] for k in keys], dtype=np.int64
+        )
+
+    z = _z_from_arrays(*arrays(counts_p), *arrays(counts_q))
+    assert z == l2_collision_statistic(counts_p, counts_q)
+
+
 def test_collision_statistic_hand_values():
     assert l2_collision_statistic({"a": 2}, {"b": 2}) == 4.0
     assert l2_collision_statistic({"a": 1, "b": 1}, {"a": 1, "b": 1}) == -4.0

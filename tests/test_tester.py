@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from aktest import (
     tv_histogram_test,
 )
 from aktest.covering import _BLOCK, CoverFamily
+from aktest.flatten import _draw_counts
 from aktest.tester import (
+    _BATCH_CAP,
     _CONSTANT_KEYS,
     LadderLookup,
     _choice_index,
@@ -195,6 +198,26 @@ def test_seeded_runs_are_reproducible():
         uniform_access(), uniform_access(), config, np.random.default_rng(42)
     )
     assert a == b
+
+
+def test_batch_cap_refuses_before_any_draw():
+    calls = []
+
+    def access(n, rng):
+        calls.append(n)
+        raise AssertionError(f"drew a batch of {n} points")
+
+    config = cheap_config(budget_multiplier=1e9)  # m near 8e9, below _BUDGET_CAP
+    assert sample_budget(config) > _BATCH_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="_BATCH_CAP"):
+            ak_closeness_test(access, access, config, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 1 << 20
 
 
 def test_access_shape_is_checked():
@@ -409,6 +432,54 @@ def test_encoded_access_blocks_match_an_unblocked_reference(case, d, n):
         gaps[:, j] = gap
     assert np.array_equal(codes, reference_codes(cover, gaps, theirs))
     assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_int32_draws_are_the_int64_stream(n, pending):
+    # The tester draws cover levels, lattice points and tie slots as int32.
+    # numpy spends one 32-bit word per try on a bound below 2^32 whatever
+    # the output dtype, so the values and the generator state must equal
+    # those of the int64 draw, also with a half word pending.
+    ties = np.random.default_rng(n).integers(1, 9, size=n)
+    draws = [
+        lambda rng, dtype: rng.integers(1, 12, size=(n, 2), dtype=dtype),
+        lambda rng, dtype: rng.integers(0, 32, size=(n, 2), dtype=dtype),
+        lambda rng, dtype: rng.integers(0, ties.astype(dtype), dtype=dtype),
+    ]
+    for draw in draws:
+        narrow, wide = np.random.default_rng(7), np.random.default_rng(7)
+        if pending:  # three 32-bit words leave half of a 64-bit output
+            for rng in (narrow, wide):
+                rng.integers(0, 5, size=3)
+            assert narrow.bit_generator.state["has_uint32"] == 1
+        values = draw(narrow, np.int32)
+        assert values.dtype == np.int32
+        assert np.array_equal(values, draw(wide, np.int64))
+        assert narrow.bit_generator.state == wide.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "family, k, bound", [("hist-equal", 16, 36), ("uniform-equal", 8, 48)]
+)
+def test_fresh_draw_peak_bytes_per_sample(family, k, bound):
+    # One count of fresh encoded samples: points, int32 ties, gaps and
+    # levels, int64 codes and their sorted copy, never all at once.
+    rng = np.random.default_rng((202, 0))
+    instance = make_instance(family, k, 1.0, rng)
+    batch = instance.p_access(279, rng)
+    cover = CoverFamily(_padded_size(len(batch)) - 1, 2)
+    lookups = [LadderLookup(batch[:, j]) for j in range(2)]
+    access = _encoded_access(instance.p_access, lookups, cover)
+    n = 1 << 19
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _draw_counts(access, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / n <= bound
 
 
 @pytest.mark.parametrize("k", [2, 16, 128])
