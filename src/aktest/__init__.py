@@ -9,7 +9,7 @@ and the lower-bound gadget machinery, so every statistical claim can be
 checked at desk scale.
 """
 
-from .covering import EMPTY, EMPTY_CODE, CoverFamily
+from .covering import EMPTY_CODE, CoverFamily
 from .distributions import (
     DiscreteGridDistribution,
     load_distribution_spec,
@@ -68,7 +68,6 @@ __all__ = [
     "CapExceeded",
     "CoverFamily",
     "DiscreteGridDistribution",
-    "EMPTY",
     "EMPTY_CODE",
     "FAMILY_NAMES",
     "FamilyInstance",

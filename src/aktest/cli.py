@@ -54,7 +54,7 @@ def main():
 @click.argument("q_spec", type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", required=True, type=int, help="Rectangle budget of the distance.")
 @click.option("--eps", required=True, type=float, help="Accuracy parameter in (0, 2].")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--mode",
     type=click.Choice(["paper", "practical"]),
@@ -138,7 +138,7 @@ def cmd_oracle(p_spec, q_spec, k):
 @click.option("--m", required=True, type=int, help="Heavy-square budget, m < k/2.")
 @click.option("--eps", required=True, type=float)
 @click.option("--case", required=True, type=click.Choice(["equal", "far"]))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--out",
     required=True,
@@ -274,6 +274,8 @@ def cmd_experiment(config_file, out, trials, jobs):
         if "seed" not in spec:
             raise InvalidInput("experiment config must pin a seed")
         seed = _number("seed", spec["seed"], int)
+        if seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {seed}")
         n_trials = spec.get("trials", 0) if trials is None else trials
         n_trials = _number("trials", n_trials, int)
         if n_trials < 1:
@@ -391,7 +393,7 @@ def cmd_experiment(config_file, out, trials, jobs):
 
 @main.command("verify")
 @click.argument("suite", type=str)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_verify(suite, seed):
     """Run a named invariant suite (or `all`) and report each check."""
     if suite != "all" and suite not in SUITES:

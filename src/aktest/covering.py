@@ -7,15 +7,15 @@ of m / 2^l gaps each; the covering family is the set of products of one run
 per axis. Every gap lies in exactly one run per level, so every in-span
 cell lies in exactly log2(m)^d family rectangles.
 
-Family rectangles are identified by a (level, index) pair per axis, with
-levels counted from 1 (coarsest, 2 runs) to log2(m) (finest, m runs). The
-EMPTY sentinel stands for "outside the span" in induced outcomes; the int64
-code path uses EMPTY_CODE for it.
+A family rectangle has one id, an int64 code. On each axis, run t of level
+l has the heap number 2^l + t, an axis id in 2..2m-1 (0 and 1 name no run).
+The code is the mixed-radix number of the dim axis ids in base 2m, the
+first axis most significant, so codes sort as the per-axis (level, run)
+pairs do lexicographically. EMPTY_CODE stands for "outside the span".
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Final, Mapping, Sequence
@@ -23,11 +23,6 @@ from typing import Final, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-
-EMPTY: Final = "empty"
-
-AxisInterval = tuple[int, int]  # (level, index)
-RectId = tuple[AxisInterval, ...]  # one (level, index) per axis
 
 EMPTY_CODE: Final = -1
 
@@ -76,37 +71,43 @@ class CoverFamily:
 
     # ---- gap geometry ------------------------------------------------------
 
-    def gap_ranges(self, rect_id: RectId) -> tuple[range, ...]:
-        """The gaps a family rectangle spans, one range per axis."""
-        if len(rect_id) != self.dim:
-            raise InvalidInput("id has wrong number of axes")
-        ranges = []
-        for level, index in rect_id:
-            if not 1 <= level <= self.levels:
-                raise InvalidInput(f"level {level} out of range 1..{self.levels}")
-            if not 0 <= index < (1 << level):
-                raise InvalidInput(f"index {index} out of range at level {level}")
-            width = self.m >> level
-            ranges.append(range(index * width, (index + 1) * width))
-        return tuple(ranges)
+    def _codes(self, per_axis: Sequence[Sequence[int]]) -> list[int]:
+        """The codes of all rectangles with one of the given axis ids on
+        each axis, in the order of their tuples of axis ids."""
+        codes = [0]
+        for axis_ids in per_axis:
+            codes = [code * 2 * self.m + a for code in codes for a in axis_ids]
+        return codes
 
-    def containing_intervals(self, gap: int) -> list[AxisInterval]:
-        """The one interval per level whose gap run holds the given gap."""
+    def gap_ranges(self, code: int) -> tuple[range, ...]:
+        """The gaps a family rectangle spans, one range per axis."""
+        code, space = operator.index(code), (2 * self.m) ** self.dim
+        if not 0 <= code < space:
+            raise InvalidInput(f"code {code} out of range 0..{space - 1}")
+        ranges = []
+        for _ in range(self.dim):
+            code, axis_id = divmod(code, 2 * self.m)
+            if axis_id < 2:
+                raise InvalidInput(f"axis id {axis_id} names no family interval")
+            width = self.m >> (axis_id.bit_length() - 1)
+            start = axis_id * width - self.m
+            ranges.append(range(start, start + width))
+        return tuple(reversed(ranges))
+
+    def containing_intervals(self, gap: int) -> list[int]:
+        """The axis ids of the one run per level that holds the given gap."""
         if not 0 <= gap < self.m:
             raise InvalidInput(f"gap {gap} out of range 0..{self.m - 1}")
-        return [
-            (level, gap // (self.m >> level)) for level in range(1, self.levels + 1)
-        ]
+        return [(1 << lv) + gap // (self.m >> lv) for lv in range(1, self.levels + 1)]
 
-    def containing_ids(self, gaps: Sequence[int]) -> list[RectId]:
-        """All family rectangles containing a cell (levels^d of them); none
-        when any axis is outside the span (-1)."""
+    def containing_ids(self, gaps: Sequence[int]) -> list[int]:
+        """The codes of all family rectangles containing a cell (levels^d of
+        them); none when any axis is outside the span (-1)."""
         if len(gaps) != self.dim:
             raise InvalidInput("gap tuple has wrong number of axes")
         if min(gaps) < 0:
             return []
-        per_axis = [self.containing_intervals(gap) for gap in gaps]
-        return [tuple(combo) for combo in itertools.product(*per_axis)]
+        return self._codes([self.containing_intervals(gap) for gap in gaps])
 
     def axis_membership_count(self, gap: int) -> int:
         """Brute-force count of axis intervals holding a gap (should be levels)."""
@@ -122,54 +123,51 @@ class CoverFamily:
 
     def induced_distribution(
         self, mass: Mapping[tuple[int, ...], float]
-    ) -> dict[object, float]:
-        """Exact induced measure over family ids plus EMPTY.
+    ) -> dict[int, float]:
+        """Exact induced measure over family codes plus EMPTY_CODE.
 
         ``mass`` maps gap tuples to their mass. Each cell inside the span
         spreads its mass uniformly over the levels^d rectangles containing
-        it; a tuple with -1 on any axis goes to EMPTY. Intended for
-        desk-scale exact checks of ``sample_ids_encoded``.
+        it; a tuple with -1 on any axis goes to EMPTY_CODE. For desk-scale
+        exact checks of the codes ``sample_ids_encoded`` draws.
         """
-        out: dict[object, float] = {}
+        out: dict[int, float] = {}
         share = 1.0 / self.rects_per_point
         for gaps, w in mass.items():
-            ids = self.containing_ids(gaps)
-            if not ids:
-                out[EMPTY] = out.get(EMPTY, 0.0) + w
+            codes = self.containing_ids(gaps)
+            if not codes:
+                out[EMPTY_CODE] = out.get(EMPTY_CODE, 0.0) + w
                 continue
-            for rect_id in ids:
-                out[rect_id] = out.get(rect_id, 0.0) + w * share
+            for code in codes:
+                out[code] = out.get(code, 0.0) + w * share
         return out
 
     # ---- box decomposition ------------------------------------------------
 
-    def decompose_axis_gaps(self, a: int, b: int) -> list[AxisInterval]:
-        """Canonical dyadic cover of the gap range [a, b).
+    def decompose_axis_gaps(self, a: int, b: int) -> list[int]:
+        """Canonical dyadic cover of the gap range [a, b), as axis ids.
 
         Greedy largest aligned block; at most 2 blocks per level, so at most
         2 * levels intervals, and the blocks tile [a, b) exactly in order.
         """
         if not 0 <= a < b <= self.m:
             raise InvalidInput(f"need 0 <= a < b <= {self.m}, got a={a} b={b}")
-        out: list[AxisInterval] = []
+        out: list[int] = []
         top = self.m >> 1  # widest family interval spans m/2 gaps
         while a < b:
             align = min(a & -a, top) if a else top
             fit = 1 << ((b - a).bit_length() - 1)
             width = min(align, fit)
-            level = self.levels - width.bit_length() + 1
-            out.append((level, a // width))
+            out.append((self.m + a) // width)  # 2^level + a // width
             a += width
         return out
 
-    def decompose_grid_rect(
-        self, lo: Sequence[int], hi: Sequence[int]
-    ) -> list[RectId]:
+    def decompose_grid_rect(self, lo: Sequence[int], hi: Sequence[int]) -> list[int]:
         """Decompose the gap box [lo_j, hi_j) per axis into family rectangles.
 
-        The box must span at least one gap on every axis. The output
-        rectangles are pairwise disjoint, tile the box's cells exactly, and
-        number at most (2 log2 m)^d.
+        The box must span at least one gap on every axis. The output codes
+        name pairwise disjoint rectangles that tile the box's cells exactly,
+        at most (2 log2 m)^d of them.
         """
         if len(lo) != self.dim or len(hi) != self.dim:
             raise InvalidInput("box dimension mismatch")
@@ -177,18 +175,9 @@ class CoverFamily:
             bounds = [(operator.index(a), operator.index(b)) for a, b in zip(lo, hi)]
         except TypeError:
             raise InvalidInput(f"box bounds must be gap indices: {lo}, {hi}") from None
-        per_axis = [self.decompose_axis_gaps(a, b) for a, b in bounds]
-        return [tuple(combo) for combo in itertools.product(*per_axis)]
+        return self._codes([self.decompose_axis_gaps(a, b) for a, b in bounds])
 
-    # ---- integer id encoding (sampling fast path) -------------------------
-
-    def decode_flat(self, flat: int) -> AxisInterval:
-        """Per-axis flat int in [0, 2m - 2), offset(level) + index with
-        offset(level) = 2^level - 2, back to (level, index)."""
-        level = 1
-        while (1 << (level + 1)) - 2 <= flat:
-            level += 1
-        return level, flat - ((1 << level) - 2)
+    # ---- sampling ---------------------------------------------------------
 
     def sample_ids_encoded(
         self, gaps: np.ndarray, rng: np.random.Generator
@@ -196,42 +185,26 @@ class CoverFamily:
         """Vectorized induced outcomes from per-axis gap indices.
 
         gaps: (n, d) int array, -1 marking "outside the span" on that axis.
-        Returns (n,) int64 codes; EMPTY_CODE for any row with an outside
-        axis. One uniform level draw per axis per row, consumed regardless
-        of emptiness so the rng stream depends only on n; the levels are
-        int32, the same stream as an int64 draw, and gap + m must fit the
-        gaps' dtype.
+        Returns (n,) int64 codes of heap-numbered axis ids (the module's one
+        id), EMPTY_CODE for any row with an outside axis. One uniform level
+        draw per axis per row, consumed regardless of emptiness so the rng
+        stream depends only on n. The int32 levels are the int64 draw's
+        stream; gap + m must fit the gaps' dtype.
         """
         gaps = np.asarray(gaps)
         if gaps.ndim != 2 or gaps.shape[1] != self.dim:
             raise InvalidInput("gaps must have shape (n, d)")
         n = gaps.shape[0]
         levels = rng.integers(1, self.levels + 1, size=(n, self.dim), dtype=np.int32)
-        base = np.int64(self.per_axis_count)
-        offset = 0  # the flat offsets, -2 per axis, in mixed radix
-        for _ in range(self.dim):
-            offset = offset * int(base) + 2
+        base = np.int64(2 * self.m)
         codes = np.zeros(n, dtype=np.int64)
         for s in range(0, n, _BLOCK):
             code = codes[s : s + _BLOCK]
             empty = np.zeros(len(code), dtype=bool)
             for level, gap in zip(levels[s : s + _BLOCK].T, gaps[s : s + _BLOCK].T):
-                # (gap + m) >> (L - level) is 2^level + the run index of an
-                # in-span gap; the rows with a gap of -1 are EMPTY.
+                # axis id 2^level + run of an in-span gap; -1 rows are empty
                 code *= base
                 code += np.right_shift(gap + self.m, self.levels - level)
                 empty |= gap < 0
-            code -= offset
             code[empty] = EMPTY_CODE
         return codes
-
-    def decode_id(self, code: int):
-        """Inverse of sample_ids_encoded for one code."""
-        if code == EMPTY_CODE:
-            return EMPTY
-        base = self.per_axis_count
-        flats = []
-        for _ in range(self.dim):
-            flats.append(int(code % base))
-            code //= base
-        return tuple(self.decode_flat(f) for f in reversed(flats))

@@ -129,14 +129,21 @@ class DiscreteGridDistribution:
         return _choice_index(w / w.sum())
 
 
+def _json_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_distribution_spec(path: str) -> DiscreteGridDistribution:
     """Read the distribution-spec file format.
 
     Structure: {"dim": d, "axes": [[...], ...], "mass": [{"idx": [...],
     "w": ...}, ...], "normalized": bool}. Coordinates and weights are
     decimal strings in the file and parse to binary64 (plain JSON floats).
-    "normalized" must be a JSON boolean; true is validated against the
-    actual total mass.
+    "dim" and the "idx" entries must be JSON integers, not bools, fractions
+    or strings. "normalized" must be a JSON boolean; true is validated
+    against the actual total mass.
     """
     try:
         with open(path) as fh:
@@ -144,11 +151,11 @@ def load_distribution_spec(path: str) -> DiscreteGridDistribution:
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read distribution spec {path}: {exc}") from exc
     try:
-        dim = int(raw["dim"])
+        dim = _json_int("dim", raw["dim"])
         axes = [[float(v) for v in axis] for axis in raw["axes"]]
         mass = {}
         for row in raw["mass"]:
-            idx = tuple(int(i) for i in row["idx"])
+            idx = tuple(_json_int("idx", i) for i in row["idx"])
             mass[idx] = mass.get(idx, 0.0) + float(row["w"])
         normalized = raw["normalized"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -70,6 +70,9 @@ class TesterConfig:
     budget_multiplier: float = 1.0
 
     def __post_init__(self):
+        for name in ("k", "d", "eps"):  # True is an int, but no k, d or eps
+            if isinstance(getattr(self, name), bool):
+                raise InvalidInput(f"{name} must be a number, got a bool")
         if not isinstance(self.k, int) or self.k < 2:
             raise InvalidInput(f"k must be an integer >= 2, got {self.k}")
         if not isinstance(self.d, int) or self.d < 1:

@@ -3,6 +3,7 @@
 import aktest
 
 REMOVED = (
+    "EMPTY",
     "LabeledSample",
     "OrderTuple",
     "P_LABEL",

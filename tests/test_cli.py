@@ -218,8 +218,20 @@ def test_test_rejects_a_spec_whose_total_mass_overflows(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("axes", 5), ("axes", [[1.0, "x"]]), ("normalized", "false")],
-    ids=["axes-not-a-list", "coordinate-not-a-number", "normalized-not-a-boolean"],
+    [
+        ("axes", 5),
+        ("axes", [[1.0, "x"]]),
+        ("normalized", "false"),
+        ("dim", 1.9),  # not read as dim 1
+        ("mass", [{"idx": [1.7], "w": 1.0}]),  # not read as index 1
+    ],
+    ids=[
+        "axes-not-a-list",
+        "coordinate-not-a-number",
+        "normalized-not-a-boolean",
+        "dim-not-an-integer",
+        "index-not-an-integer",
+    ],
 )
 def test_malformed_specs_are_usage_errors(runner, tmp_path, field, value):
     p_path, q_path = write_four_atoms(tmp_path)
@@ -229,6 +241,24 @@ def test_malformed_specs_are_usage_errors(runner, tmp_path, field, value):
     for command in (["test", "--eps", "1.0"], ["oracle"]):
         result = runner.invoke(main, [*command, str(p_path), str(q_path), "--k", "2"])
         assert result.exit_code == 2, result.output
+
+
+def test_negative_seeds_are_usage_errors(runner, tmp_path):
+    # numpy refuses them with a traceback and exit 1, which `test` uses for
+    # a reject verdict
+    p_path, q_path = write_four_atoms(tmp_path)
+    out = tmp_path / "hard"
+    commands = [
+        ["test", str(p_path), str(q_path), "--k", "2", "--eps", "1.0"],
+        ["gen-hard", "--k", "8", "--m", "1", "--eps", "1.0", "--case", "far",
+         "--out", str(out)],
+        ["verify", "ramsey"],
+    ]
+    for command in commands:
+        result = runner.invoke(main, [*command, "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
+    assert not out.exists()
 
 
 def test_oracle_reports_value_and_witness(runner, tmp_path):
@@ -380,6 +410,15 @@ def test_experiment_refuses_non_numeric_values(runner, tmp_path, overrides):
     assert result.exit_code == 2, result.output
     expected = "must be a string" if "out" in overrides else "must be a number"
     assert expected in result.output
+    assert not out.exists()
+
+
+def test_experiment_refuses_a_negative_seed(runner, tmp_path):
+    config = experiment_config(tmp_path, seed=-1)
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "seed must be >= 0" in result.output
     assert not out.exists()
 
 

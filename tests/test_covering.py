@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from aktest import EMPTY, EMPTY_CODE, CoverFamily, InvalidInput
+from aktest import EMPTY_CODE, CoverFamily, InvalidInput
 from aktest.covering import _BLOCK
 
 # Sample counts around the edges of the per-sample passes' blocks
@@ -49,13 +49,46 @@ def test_level_structure_m4():
     assert cover.levels == 2
     assert cover.per_axis_count == 6
     assert cover.rects_per_point == 2
-    assert cover.gap_ranges(((1, 1),)) == (range(2, 4),)
-    assert [cover.gap_ranges(((2, t),)) for t in range(4)] == [
+    # axis ids are heap numbers: 2^level + index
+    assert cover.gap_ranges(3) == (range(2, 4),)
+    assert cover.gap_ranges(6) == (range(2, 3),)
+    assert [cover.gap_ranges(4 + t) for t in range(4)] == [
         (range(t, t + 1),) for t in range(4)
     ]
-    for bad in [((0, 0),), ((3, 0),), ((1, 2),), ((1, 0), (1, 0))]:
+    assert cover.gap_ranges(np.int64(2)) == (range(0, 2),)
+    for bad in [0, 1, 8, EMPTY_CODE]:  # no interval, past the top, outside
         with pytest.raises(InvalidInput):
             cover.gap_ranges(bad)
+    # in base 2m = 8: an axis id below 2 on either axis names no interval
+    assert CoverFamily(4, 2).gap_ranges(8 * 3 + 6) == (range(2, 4), range(2, 3))
+    for bad in [8 * 1 + 6, 8 * 3 + 0, 8 * 8]:
+        with pytest.raises(InvalidInput):
+            CoverFamily(4, 2).gap_ranges(bad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_heap_codes_sort_as_the_level_index_tuples(data):
+    # The premise that keeps the sampled stream and every statistic fixed:
+    # codes order rectangles as their per-axis (level, index) pairs do.
+    d, m = data.draw(st.sampled_from([(1, 4), (2, 8), (3, 16), (4, 2**14), (31, 2)]))
+    cover = cover_at(d, m)
+    interval = st.integers(1, cover.levels).flatmap(
+        lambda level: st.tuples(st.just(level), st.integers(0, 2**level - 1))
+    )
+    ids = data.draw(st.lists(st.tuples(*[interval] * d), min_size=2, max_size=6))
+    heap = [[2**level + index for level, index in i] for i in ids]
+    codes = [cover._codes([[axis_id] for axis_id in h])[0] for h in heap]
+    for a, b in itertools.combinations(range(len(ids)), 2):
+        assert (codes[a] < codes[b]) == (ids[a] < ids[b])
+        assert (codes[a] == codes[b]) == (ids[a] == ids[b])
+    assert min(codes) > EMPTY_CODE
+    # the codes of a product of sorted axis id lists come out sorted (on
+    # at most three axes, so that the product stays small)
+    per_axis = [sorted({h[j] for h in heap}) for j in range(min(d, 3))]
+    product = cover._codes(per_axis)
+    assert product == sorted(set(product))
+    assert len(product) == np.prod([len(axis_ids) for axis_ids in per_axis])
 
 
 def test_membership_count_equals_levels():
@@ -63,10 +96,13 @@ def test_membership_count_equals_levels():
         cover = CoverFamily(m, 1)
         for gap in range(m):
             assert cover.axis_membership_count(gap) == cover.levels
-            assert len(cover.containing_intervals(gap)) == cover.levels
+            intervals = cover.containing_intervals(gap)
+            assert len(intervals) == cover.levels
+            assert all(gap in cover.gap_ranges(i)[0] for i in intervals)
 
 
 def test_containing_ids_count_is_levels_to_the_d():
+    assert cover_1d().containing_ids((0,)) == [2, 4]
     rng = np.random.default_rng(2)
     for d in (1, 2, 3):
         cover = CoverFamily(8, d)
@@ -86,18 +122,18 @@ def test_containing_ids_empty_outside_span():
 
 def test_decompose_family_rect_is_itself():
     pieces = cover_1d().decompose_grid_rect((0,), (2,))
-    assert pieces == [((1, 0),)]
+    assert pieces == [2]
 
 
 def test_decompose_full_span_m4():
     pieces = cover_1d().decompose_grid_rect((0,), (4,))
-    assert sorted(pieces) == [((1, 0),), ((1, 1),)]
+    assert pieces == [2, 3]
 
 
 def test_decompose_unaligned_run():
     # gaps 0..2 need one level-1 and one level-2 interval
     pieces = cover_1d().decompose_grid_rect((0,), (3,))
-    assert sorted(pieces) == [((1, 0),), ((2, 2),)]
+    assert pieces == [2, 6]
 
 
 def test_decompose_rejects_non_grid_endpoints():
@@ -129,12 +165,12 @@ def test_decompose_partitions_cells_exactly():
 
 def test_induced_distribution_point_mass():
     induced = cover_1d().induced_distribution({(0,): 1.0})
-    assert induced == {((1, 0),): 0.5, ((2, 0),): 0.5}
+    assert induced == {2: 0.5, 4: 0.5}
 
 
 def test_induced_distribution_outside_goes_to_empty():
     induced = cover_1d().induced_distribution({(-1,): 0.25, (0,): 0.75})
-    assert induced[EMPTY] == 0.25
+    assert induced[EMPTY_CODE] == 0.25
     assert sum(induced.values()) == pytest.approx(1.0)
 
 
@@ -147,13 +183,13 @@ def test_induced_mass_identity_on_family_rects():
         gaps = tuple(int(g) for g in rng.integers(0, 8, size=2))
         mass[gaps] = mass.get(gaps, 0.0) + float(rng.integers(1, 8)) / 16.0
     induced = cover.induced_distribution(mass)
-    axis_ids = [(lv, t) for lv in range(1, cover.levels + 1) for t in range(1 << lv)]
-    for rect_id in itertools.product(axis_ids, repeat=2):
-        ranges = cover.gap_ranges(rect_id)
+    axis_ids = range(2, 2 * cover.m)
+    for code in cover._codes([axis_ids, axis_ids]):
+        ranges = cover.gap_ranges(code)
         direct = sum(
             w for gaps, w in mass.items() if all(g in r for g, r in zip(gaps, ranges))
         )
-        assert induced.get(rect_id, 0.0) * cover.rects_per_point == pytest.approx(
+        assert induced.get(code, 0.0) * cover.rects_per_point == pytest.approx(
             direct, abs=1e-12
         )
 
@@ -163,13 +199,11 @@ def test_sample_ids_encoded_matches_containment():
     cover = CoverFamily(4, 2)
     gaps = rng.integers(0, 4, size=(2000, 2))
     codes = cover.sample_ids_encoded(gaps, rng)
-    decoded = set()
-    for row, code in zip(gaps.tolist(), codes):
-        rect_id = cover.decode_id(int(code))
-        assert rect_id in cover.containing_ids(row)
-        decoded.add(rect_id)
-    # every family rectangle came back, so decoding inverts every code
-    assert len(decoded) == cover.per_axis_count**2
+    for row, code in zip(gaps.tolist(), codes.tolist()):
+        assert code in cover.containing_ids(row)
+        assert all(g in r for g, r in zip(row, cover.gap_ranges(code)))
+    # every family rectangle came back
+    assert len(set(codes.tolist())) == cover.per_axis_count**2
 
 
 def test_sample_ids_encoded_empty_rows():
@@ -179,24 +213,20 @@ def test_sample_ids_encoded_empty_rows():
     codes = cover.sample_ids_encoded(gaps, rng)
     assert codes[0] == EMPTY_CODE and codes[2] == EMPTY_CODE
     assert codes[1] != EMPTY_CODE
-    assert cover.decode_id(EMPTY_CODE) == EMPTY
 
 
 def reference_codes(cover, gaps, rng):
     """The unblocked encode that sample_ids_encoded must reproduce bit for bit."""
     n = len(gaps)
     levels = rng.integers(1, cover.levels + 1, size=(n, cover.dim))
-    base = cover.per_axis_count
+    base = 2 * cover.m
     code = np.zeros(n, dtype=np.int64)
     empty = np.zeros(n, dtype=bool)
-    offset = 0
     for j in range(cover.dim):
         level, gap = levels[:, j], gaps[:, j]
-        code = code * base + np.left_shift(1, level)
+        code = code * base + np.left_shift(1, level)  # heap number 2^level + run
         code += np.right_shift(gap, cover.levels - level)
         empty |= gap < 0
-        offset = offset * base + 2
-    code -= offset
     code[empty] = EMPTY_CODE
     return code
 
@@ -205,7 +235,7 @@ def reference_codes(cover, gaps, rng):
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_sample_ids_encoded_blocks_match_the_unblocked_encode(n, d):
     cover = CoverFamily(64, d)
-    gaps = np.random.default_rng(n + d).integers(-1, 64, size=(n, d))  # -1: EMPTY
+    gaps = np.random.default_rng(n + d).integers(-1, 64, size=(n, d))  # -1: outside
     for layout in (gaps, np.asfortranarray(gaps)):
         ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
         codes = cover.sample_ids_encoded(layout, ours)
@@ -227,11 +257,10 @@ def test_sampled_ids_match_exact_induced_distribution():
     gaps = cells[rng.choice(len(cells), size=n, p=list(mass.values()))]
     codes = cover.sample_ids_encoded(gaps, rng)
     observed = {}
-    for code in codes:
-        key = cover.decode_id(int(code))
-        observed[key] = observed.get(key, 0) + 1
+    for code in codes.tolist():
+        observed[code] = observed.get(code, 0) + 1
 
-    keys = sorted(exact, key=repr)
+    keys = sorted(exact)
     expected = np.array([exact[k] * n for k in keys])
     got = np.array([observed.get(k, 0) for k in keys], dtype=float)
     assert set(observed) <= set(keys)
@@ -266,8 +295,9 @@ def test_encoded_ids_round_trip_at_the_code_cap(pair, seed):
     gaps[0] = m - 1  # the top gap on every axis gives the largest codes
     codes = cover.sample_ids_encoded(gaps, rng)
     assert int(codes.max()) < 2**62
-    for row, code in zip(gaps.tolist(), codes):
-        assert cover.decode_id(int(code)) in cover.containing_ids(row)
+    for row, code in zip(gaps.tolist(), codes.tolist()):
+        assert code in cover.containing_ids(row)
+        assert all(g in r for g, r in zip(row, cover.gap_ranges(code)))
 
 
 def test_code_cap_is_62_bits():

@@ -144,6 +144,34 @@ def test_spec_malformed_inputs(tmp_path):
         load_distribution_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "dim, idx",
+    [
+        (1, [1.7]),  # not read as index 1
+        (1, [1.0]),
+        (1, [True]),
+        (1, ["1"]),
+        (1.9, [1]),  # not read as dim 1
+        (True, [1]),
+        ("1", [1]),
+    ],
+)
+def test_spec_dim_and_idx_must_be_json_integers(tmp_path, dim, idx):
+    path = tmp_path / "spec.json"
+    doc = {
+        "dim": dim,
+        "axes": [[0.0, 1.0]],
+        "mass": [{"idx": idx, "w": 1.0}],
+        "normalized": True,
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInput, match="must be a JSON integer"):
+        load_distribution_spec(path)
+    doc.update(dim=1, mass=[{"idx": [1], "w": 1.0}])
+    path.write_text(json.dumps(doc))
+    assert load_distribution_spec(path).mass == {(1,): 1.0}
+
+
 def test_spec_duplicate_rows_accumulate(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text(

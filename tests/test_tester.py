@@ -68,6 +68,13 @@ def test_config_validation():
         TesterConfig(k=4.0, d=1, eps=1.0)  # k must be an int, not a float
 
 
+@pytest.mark.parametrize("field", ["k", "d", "eps"])
+def test_config_refuses_bools(field):
+    # True is the int 1 to Python, but it is no dimension or accuracy
+    with pytest.raises(InvalidInput, match=f"^{field} must be a number"):
+        TesterConfig(**{"k": 4, "d": 1, "eps": 1.0, field: True})
+
+
 @pytest.mark.parametrize("name", sorted(_CONSTANT_KEYS))
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_every_constant_must_be_positive_and_finite(name, value):
