@@ -9,6 +9,7 @@ Total mass 1 is not required (hard instances are measures with mass Theta(1));
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -22,13 +23,25 @@ from .tester import _choice_index
 _NORMALIZATION_TOL = 1e-12
 
 
+def _grid_index(idx, i) -> int:
+    """i as an int: Python and numpy integers pass; bools, floats and
+    strings raise InvalidInput."""
+    try:
+        if not isinstance(i, bool):
+            return operator.index(i)
+    except TypeError:
+        pass
+    raise InvalidInput(f"index {tuple(idx)!r} must hold integers, got {i!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteGridDistribution:
     """Sparse nonnegative measure on a product grid.
 
     axes: per-axis strictly increasing coordinate tuples.
-    mass: index tuple -> weight; indices must be in range, weights finite
-    and >= 0. The mass dict is owned by the instance; don't mutate it.
+    mass: index tuple -> weight; indices must be integers (not bools) in
+    range, weights finite and >= 0. The mass dict is owned by the
+    instance; don't mutate it.
     """
 
     axes: tuple[tuple[float, ...], ...]
@@ -48,7 +61,7 @@ class DiscreteGridDistribution:
         d = len(axes_t)
         mass_t: dict[tuple[int, ...], float] = {}
         for idx, w in mass.items():
-            idx_t = tuple(int(i) for i in idx)
+            idx_t = tuple(_grid_index(idx, i) for i in idx)
             if len(idx_t) != d:
                 raise InvalidInput(f"index {idx_t} has wrong dimension (expected {d})")
             if any(i < 0 or i >= len(axes_t[j]) for j, i in enumerate(idx_t)):

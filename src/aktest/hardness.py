@@ -116,8 +116,8 @@ class SquareEdgeGadget:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n iid points, shape (n, 2)."""
-        codes = np.full(n, _VARIANTS.index(self.variant))
-        return _gadget_points(self.center, self.radius, codes, rng)
+        edge = _gadget_edges(np.full(n, _VARIANTS.index(self.variant)), rng)
+        return _gadget_points(self.center, self.radius, edge, rng.random(n))
 
 
 def _edge_fraction_in_rect(
@@ -139,36 +139,59 @@ def _edge_fraction_in_rect(
     return max(0.0, u_hi - u_lo)
 
 
-def _gadget_points(
-    centers,
-    radius: float,
-    codes: np.ndarray,
-    rng: np.random.Generator,
-    comp: np.ndarray | None = None,
+def _gadget_edges(
+    codes: np.ndarray, rng: np.random.Generator, comp: np.ndarray | None = None
 ) -> np.ndarray:
-    """Vectorized gadget sampling.
+    """Each point's row in the (center, edge) tables of _gadget_points.
 
-    codes: each point's variant as its index in _VARIANTS. centers is one
-    center, or a (c, 2) array of them that comp indexes per point. Three rng
-    draws of size n are consumed regardless of the variant mix, keeping the
-    stream shape data-independent.
-
-    A point is a + u * (b - a) on its edge [a, b]; a and b - a are tabled
-    once per (center, edge) and gathered per point. The three draws are
-    the only n-sized temporaries: two become the edge index in place, and
-    u's buffer is reused for the second gather.
+    codes: each point's variant as its index in _VARIANTS; comp: each
+    point's center, when there are several. Two fair-bit draws of size n
+    are consumed regardless of the variant mix, keeping the stream shape
+    data-independent: the coin picks the edge within a pair, and the
+    second bit picks MIX's pair. The edge index is 2 (variant, or that bit
+    for MIX) + coin [+ 4 comp], stored in the narrowest integer type that
+    holds it.
     """
-    n = len(codes)
-    coin = rng.integers(2, size=n)
-    edge = rng.integers(2, size=n)  # the MIX variant's edge-pair bit
-    u = rng.random(n)
-    # edge = 2 (codes, or that bit for MIX) + coin [+ 4 comp], in place
+    top = 3 if comp is None else 4 * int(comp.max(initial=0)) + 3
+    widths = (np.int8, np.int16, np.int32, np.int64)
+    dtype = next(t for t in widths if top <= np.iinfo(t).max)
+    coin = _fair_bits(len(codes), rng, dtype)
+    edge = _fair_bits(len(codes), rng, dtype)  # the MIX variant's edge-pair bit
     np.copyto(edge, codes, where=codes != 2)
     edge *= 2
     edge += coin
-    del coin
     if comp is not None:
         edge += 4 * comp
+    return edge
+
+
+def _fair_bits(n: int, rng: np.random.Generator, dtype) -> np.ndarray:
+    """rng.integers(2, size=n) stored as dtype, drawn _TUPLE_BLOCK values
+    at a time as int32: numpy spends one 32-bit word per value below 2^32
+    whatever the output dtype, so the values and the stream are those of
+    the single int64 draw."""
+    out = np.empty(n, dtype=dtype)
+    for start in range(0, n, _TUPLE_BLOCK):
+        block = out[start : start + _TUPLE_BLOCK]
+        block[:] = rng.integers(2, size=len(block), dtype=np.int32)
+    return out
+
+
+def _gadget_points(
+    centers, radius: float, edge: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Gadget points from their _gadget_edges rows and positions u in [0, 1).
+
+    centers is one center, or a (c, 2) array of them that the edge rows
+    index. Nothing is drawn here, so a caller may map the points of one
+    _gadget_edges call in blocks, drawing each block's u as it goes:
+    rng.random spends one 64-bit word per value, so consecutive block
+    draws concatenate to the single draw of the whole.
+
+    A point is a + u * (b - a) on its edge [a, b]; a and b - a are tabled
+    once per (center, edge) and gathered per point. u's buffer is reused
+    for the second gather.
+    """
     centers = np.asarray(centers, dtype=float).reshape(-1, 1, 2)
     a = (centers + radius * _DIR_A).reshape(-1, 2)
     span = (centers + radius * _DIR_B).reshape(-1, 2) - a
@@ -191,6 +214,7 @@ def _gadget_points(
 # variant T to one label and R to the other.
 _TUPLE_CENTER = (0.5, 0.5)
 _TUPLE_RADIUS = 0.5
+_TUPLE_BLOCK = 1 << 15  # tuples per sampled block; also values per fair-bit draw
 
 
 def order_tuple_laws(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -228,10 +252,15 @@ def order_tuple_laws(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return yes, law(bits + 2 * (labels ^ orient), labels)
 
 
-def order_tuple_distribution_distance(m: int) -> Fraction:
+def order_tuple_distribution_distance(
+    m: int, laws: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+) -> Fraction:
     """Exact TV between the two worlds' order-tuple laws: the paper's claim
-    is 0 for m <= 3 samples and 15/64 at m = 4."""
-    (y_codes, y_counts), (n_codes, n_counts) = order_tuple_laws(m)
+    is 0 for m <= 3 samples and 15/64 at m = 4. laws, when given, are
+    order_tuple_laws(m), already built by the caller."""
+    if laws is None:
+        laws = order_tuple_laws(m)
+    (y_codes, y_counts), (n_codes, n_counts) = laws
     y_total, n_total = int(y_counts.sum()), int(n_counts.sum())
     codes, inverse = np.unique(np.concatenate([y_codes, n_codes]), return_inverse=True)
     diff = np.zeros(len(codes), dtype=np.int64)
@@ -242,23 +271,37 @@ def order_tuple_distribution_distance(m: int) -> Fraction:
 def sample_order_tuple_cells(
     m: int, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_encode_tuples codes of `trials` sampled tuples from each world."""
+    """_encode_tuples codes of `trials` sampled tuples from each world.
+
+    Per world, the labels and the gadget edges are drawn whole and stored
+    as int8; the points are then drawn, mapped and encoded _TUPLE_BLOCK
+    tuples at a time. Every draw is a fixed-size run of one kind (fair
+    bits at one 32-bit word each, uniforms at one 64-bit word each), so
+    the blocks consume the stream exactly as whole-array draws would, and
+    memory stays about 40 bytes per tuple.
+    """
     if not 1 <= m <= 8:
         raise InvalidInput(f"tuple size m must be in 1..8, got {m}")
     if trials < 1000:
         raise InvalidInput("need at least 1000 trials for a stable estimate")
 
     def world(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, codes.reshape(-1), rng)
-        return _encode_tuples(pts.reshape(trials, m, 2), labels, m)
+        edge = _gadget_edges(codes, rng)
+        cells = np.empty(trials, dtype=np.int64)
+        for start in range(0, trials, _TUPLE_BLOCK):
+            rows = slice(start, start + _TUPLE_BLOCK)
+            block = edge[rows.start * m : rows.stop * m]
+            u = rng.random(len(block))
+            pts = _gadget_points(_TUPLE_CENTER, _TUPLE_RADIUS, block, u)
+            cells[rows] = _encode_tuples(pts.reshape(-1, m, 2), labels[rows], m)
+        return cells
 
-    # int8 copies of the int64 draws: the same stream, an eighth the memory
-    labels = rng.integers(2, size=(trials, m)).astype(np.int8)  # 0 = P, 1 = Q
-    yes_cells = world(np.full((trials, m), 2, dtype=np.int8), labels)
-    labels = rng.integers(2, size=(trials, m)).astype(np.int8)
+    labels = _fair_bits(trials * m, rng, np.int8).reshape(trials, m)  # 0 = P, 1 = Q
+    yes_cells = world(np.full(trials * m, 2, dtype=np.int8), labels)
+    labels = _fair_bits(trials * m, rng, np.int8).reshape(trials, m)
     # orient 0: P draws T, Q draws R
-    orient = rng.integers(2, size=(trials, 1)).astype(np.int8)
-    return yes_cells, world(labels ^ orient, labels)
+    orient = _fair_bits(trials, rng, np.int8).reshape(trials, 1)
+    return yes_cells, world((labels ^ orient).reshape(-1), labels)
 
 
 def law_fit(
@@ -373,7 +416,8 @@ class HardInstance:
             if n == 0:
                 return np.empty((0, 2))
             comp = square_of(rng.random(n))
-            return _gadget_points(centers, self.radius, codes[comp], rng, comp)
+            edge = _gadget_edges(codes[comp], rng, comp)
+            return _gadget_points(centers, self.radius, edge, rng.random(n))
 
         return access
 

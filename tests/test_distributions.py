@@ -50,6 +50,16 @@ def test_constructor_validation():
         DiscreteGridDistribution([(0.0, 1.0)], {(0,): float("nan")})
 
 
+@pytest.mark.parametrize("i", [1.7, 1.0, np.float64(1.0), True, np.True_, "1"])
+def test_constructor_refuses_non_integer_indices(i):
+    # int(i) used to read 1.7 and True as index 1
+    with pytest.raises(InvalidInput, match="must hold integers"):
+        DiscreteGridDistribution([(0.0, 1.0)], {(i,): 1.0})
+    for ok in (1, np.int64(1), np.uint8(1)):
+        mass = DiscreteGridDistribution([(0.0, 1.0)], {(ok,): 1.0}).mass
+        assert mass == {(1,): 1.0} and type(next(iter(mass))[0]) is int
+
+
 def test_duplicate_indices_accumulate():
     d = DiscreteGridDistribution([(0.0, 1.0)], {(0,): 0.25})
     assert d.mass[(0,)] == 0.25

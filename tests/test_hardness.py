@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,10 @@ from aktest.hardness import (
     VARIANT_T,
     SquareEdgeGadget,
     SquareSpec,
+    _DIR_A,
+    _DIR_B,
+    _TUPLE_BLOCK,
+    _VARIANTS,
     _encode_tuples,
     law_fit,
     order_tuple_laws,
@@ -192,6 +197,76 @@ def test_sampler_fits_the_exact_laws(m):
     for world_cells, law in zip(cells, order_tuple_laws(m)):
         z, _, outside = law_fit(world_cells, law)
         assert outside == 0 and z <= 4.0
+
+
+def whole_array_gadget_points(centers, radius, codes, rng, comp=None):
+    """The gadget sampler with every draw made whole and int64, as it was
+    before the draws were blocked: the reference for the stream."""
+    n = len(codes)
+    coin = rng.integers(2, size=n)
+    edge = rng.integers(2, size=n)
+    u = rng.random(n)
+    edge = 2 * np.where(codes != 2, codes, edge) + coin
+    if comp is not None:
+        edge += 4 * comp
+    centers = np.asarray(centers, dtype=float).reshape(-1, 1, 2)
+    a = (centers + radius * _DIR_A).reshape(-1, 2)
+    span = (centers + radius * _DIR_B).reshape(-1, 2) - a
+    return span[edge] * u[:, None] + a[edge]
+
+
+def whole_array_order_tuple_cells(m, trials, rng):
+    def world(codes, labels):
+        pts = whole_array_gadget_points((0.5, 0.5), 0.5, codes.reshape(-1), rng)
+        return _encode_tuples(pts.reshape(trials, m, 2), labels, m)
+
+    labels = rng.integers(2, size=(trials, m))
+    yes_cells = world(np.full((trials, m), 2), labels)
+    labels = rng.integers(2, size=(trials, m))
+    orient = rng.integers(2, size=(trials, 1))
+    return yes_cells, world(labels ^ orient, labels)
+
+
+@pytest.mark.parametrize("trials", [1000, _TUPLE_BLOCK + 1, 1001])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_blocked_tuple_sampler_is_the_whole_array_stream(m, trials):
+    ours, theirs = (np.random.default_rng((71, m, trials)) for _ in range(2))
+    got = sample_order_tuple_cells(m, trials, ours)
+    want = whole_array_order_tuple_cells(m, trials, theirs)
+    for got_cells, want_cells in zip(got, want):
+        assert got_cells.dtype == np.int64
+        assert np.array_equal(got_cells, want_cells)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [32, 2048])  # edge rows fit int8, then need int16
+def test_hard_instance_sampler_is_the_whole_array_stream(k):
+    inst = gen_hard_instance(k, 3, 0.5, False, np.random.default_rng(73))
+    n = 2 * _TUPLE_BLOCK + 3
+    for side in ("p", "q"):
+        ours, theirs = (np.random.default_rng((79, k)) for _ in range(2))
+        got = inst.sampler(side)(n, ours)
+        masses = np.array([sq.mass for sq in inst.squares])
+        comp = theirs.choice(len(masses), size=n, p=masses / masses.sum())
+        centers = np.array([inst.center(sq) for sq in inst.squares])
+        variants = [inst.gadget(sq, side).variant for sq in inst.squares]
+        codes = np.array([_VARIANTS.index(v) for v in variants])
+        want = whole_array_gadget_points(centers, inst.radius, codes[comp], theirs, comp)
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_tuple_sampler_memory_is_bounded_per_tuple():
+    # Whole-array draws held about 154 bytes per tuple (int64 draws, the
+    # point array and its transposed copy); the blocked sampler about 41.
+    trials = 1 << 19
+    tracemalloc.start()
+    try:
+        sample_order_tuple_cells(4, trials, np.random.default_rng(83))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / trials <= 64
 
 
 def test_fit_rejects_the_other_worlds_law():
