@@ -93,6 +93,7 @@ def cmd_test(p_spec, q_spec, k, eps, seed, mode, constants):
                 "decision": result.decision,
                 "statistic": result.statistic,
                 "threshold": result.threshold,
+                "z_values": list(result.z_values),
                 "kappa": result.kappa,
                 "samples_used": result.samples_used,
                 "budget": result.budget,

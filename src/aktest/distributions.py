@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class DiscreteGridDistribution:
     """Sparse nonnegative measure on a product grid.
 
     axes: per-axis strictly increasing coordinate tuples.
-    mass: index tuple -> weight; indices must be integers (not bools) in
-    range, weights finite and >= 0. The mass dict is owned by the
+    mass: index tuple -> weight, as a mapping or as (index, weight) pairs
+    whose repeated indices accumulate; indices must be integers (not bools)
+    in range, weights finite and >= 0. The mass dict is owned by the
     instance; don't mutate it.
     """
 
@@ -50,7 +51,7 @@ class DiscreteGridDistribution:
     def __init__(
         self,
         axes: Sequence[Sequence[float]],
-        mass: Mapping[Sequence[int], float],
+        mass: Mapping[Sequence[int], float] | Iterable[tuple[Sequence[int], float]],
     ):
         axes_t = tuple(tuple(float(v) for v in ax) for ax in axes)
         if not axes_t or any(not ax for ax in axes_t):
@@ -60,7 +61,7 @@ class DiscreteGridDistribution:
                 raise InvalidInput(f"axis {j} is not strictly increasing")
         d = len(axes_t)
         mass_t: dict[tuple[int, ...], float] = {}
-        for idx, w in mass.items():
+        for idx, w in mass.items() if isinstance(mass, Mapping) else mass:
             idx_t = tuple(_grid_index(idx, i) for i in idx)
             if len(idx_t) != d:
                 raise InvalidInput(f"index {idx_t} has wrong dimension (expected {d})")
@@ -155,8 +156,8 @@ def load_distribution_spec(path: str) -> DiscreteGridDistribution:
     "w": ...}, ...], "normalized": bool}. Coordinates and weights are
     decimal strings in the file and parse to binary64 (plain JSON floats).
     "dim" and the "idx" entries must be JSON integers, not bools, fractions
-    or strings. "normalized" must be a JSON boolean; true is validated
-    against the actual total mass.
+    or strings; rows with the same "idx" accumulate. "normalized" must be a
+    JSON boolean; true is validated against the actual total mass.
     """
     try:
         with open(path) as fh:
@@ -166,10 +167,9 @@ def load_distribution_spec(path: str) -> DiscreteGridDistribution:
     try:
         dim = _json_int("dim", raw["dim"])
         axes = [[float(v) for v in axis] for axis in raw["axes"]]
-        mass = {}
-        for row in raw["mass"]:
-            idx = tuple(_json_int("idx", i) for i in row["idx"])
-            mass[idx] = mass.get(idx, 0.0) + float(row["w"])
+        # The rows go to the constructor unmerged: a dict keyed here would
+        # fold index 1.0 or true into an earlier 1 before the index check.
+        rows = [(tuple(row["idx"]), float(row["w"])) for row in raw["mass"]]
         normalized = raw["normalized"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed distribution spec {path}: {exc}") from exc
@@ -177,7 +177,7 @@ def load_distribution_spec(path: str) -> DiscreteGridDistribution:
         raise InvalidInput(f"normalized must be true or false, got {normalized!r}")
     if len(axes) != dim:
         raise InvalidInput(f"spec says dim={dim} but has {len(axes)} axes")
-    dist = DiscreteGridDistribution(axes, mass)
+    dist = DiscreteGridDistribution(axes, rows)
     if normalized and not dist.normalized():
         raise InvalidInput(
             f"spec {path} claims normalized=true but total mass is {dist.total_mass!r}"

@@ -24,18 +24,23 @@ SampleAccess = Callable[[int, np.random.Generator], np.ndarray]
 
 _ROBUST_CONST = 4.0  # c_r in m = ceil(c_r sqrt(b) / eps^2)
 _FLATTEN_CONST = 2.0  # c_f in m0 = min(s/100, ceil(c_f eps^(-4/3)))
-_REPEATS = 3  # odd, so the verdict statistic (the median Z) is one run's Z
+_REPEATS = 3  # odd, so some side of the threshold always holds a majority of runs
 _DRAW_CAP = 1 << 23  # largest Poisson mean robust_l2_test draws per side in one array
 
 
 @dataclass(frozen=True)
 class TestVerdict:
-    """Outcome of a closeness test. reject holds iff statistic >= threshold."""
+    """Outcome of a closeness test. reject holds iff statistic >= threshold.
+
+    z_values holds the statistic of each boosting repeat that ran, in run
+    order; statistic is one of them.
+    """
 
     accept: bool
     statistic: float
     threshold: float
     samples_used: int
+    z_values: tuple[float, ...]
 
     @property
     def decision(self) -> str:
@@ -158,25 +163,24 @@ class SplitMap:
         pos, a = pos[found], 1 + self.counts[found]
         if not len(pos):
             return codes, counts
+        # Output slots: element i of uids takes reps[i] adjacent slots from
+        # start[i]; slot start[i] + j holds piece j + 1, coded uid * parts + j.
+        reps = np.ones(len(uids), dtype=np.int64)
+        reps[pos] = a
+        start = np.cumsum(reps) - reps
+        owner = np.repeat(np.arange(len(uids)), reps)
+        piece = np.arange(len(owner)) - start[owner]
+        out = counts[owner]
+        first = start[pos]
         left = counts[pos].astype(np.int64)
-        pieces = np.zeros((len(pos), int(a.max())), dtype=np.int64)
-        for j in range(pieces.shape[1] - 1):
-            live = np.flatnonzero(a > j + 1)
+        live = np.arange(len(pos))
+        for j in range(int(a.max()) - 1):
+            live = live[a[live] > j + 1]
             draw = rng.binomial(left[live], 1.0 / (a[live] - j))
-            pieces[live, j] = draw
+            out[first[live] + j] = draw
             left[live] -= draw
-        pieces[np.arange(len(pos)), a - 1] = left
-        first = counts.copy()
-        first[pos] = pieces[:, 0]
-        # Pieces 2..a of each element go right after its first piece.
-        extra = a - 1
-        at = np.repeat(pos + 1, extra)
-        offset = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(extra) - extra, extra)
-        more = pieces[:, 1:][np.arange(1, pieces.shape[1]) < a[:, None]]
-        return (
-            np.insert(codes, at, np.repeat(codes[pos], extra) + offset),
-            np.insert(first, at, more),
-        )
+        out[first + a - 1] = left
+        return codes[owner] + piece, out
 
 
 def build_split_map(samples) -> SplitMap:
@@ -222,8 +226,13 @@ def robust_l2_test(
     Budget m = ceil(c_r sqrt(b) / eps^2) per side per repetition; rejects
     when the collision statistic reaches m^2 eps^2 / 2, which separates
     ||p - q||_2 = 0 from ||p - q||_2 >= eps whenever max(||p||_2^2,
-    ||q||_2^2) <= b. The test runs three times and the verdict statistic
-    is the median Z, so "reject iff statistic >= threshold" is
+    ||q||_2^2) <= b. The test is boosted by a majority vote of up to
+    ``_REPEATS`` runs and stops once one side of the threshold holds a
+    majority: with three, after two runs that agree. The runs made draw
+    what they would draw if all three ran, so the verdict is the median
+    run's, bit for bit, and samples_used counts only the draws made. The
+    verdict statistic is the majority side's Z nearest the threshold (the
+    median Z when three ran), so "reject iff statistic >= threshold" is
     preserved under boosting.
 
     ``counts_transform(uids, counts, rng)`` post-processes each side's
@@ -240,8 +249,9 @@ def robust_l2_test(
         )
     threshold = m * m * eps * eps / 2.0
     z_values = []
+    rejects = 0
     used = 0
-    for _ in range(_REPEATS):
+    while max(rejects, len(z_values) - rejects) <= _REPEATS // 2:
         sides = []
         for access in (p_access, q_access):
             n = int(rng.poisson(m))
@@ -251,12 +261,16 @@ def robust_l2_test(
                 uids, counts = counts_transform(uids, counts, rng)
             sides += [uids, counts]
         z_values.append(_z_from_arrays(*sides))
-    statistic = float(np.median(z_values))
+        rejects += z_values[-1] >= threshold
+    reject = rejects > _REPEATS // 2
+    majority = [z for z in z_values if (z >= threshold) == reject]
+    statistic = min(majority) if reject else max(majority)
     return TestVerdict(
-        accept=statistic < threshold,
+        accept=not reject,
         statistic=statistic,
         threshold=threshold,
         samples_used=used,
+        z_values=tuple(z_values),
     )
 
 

@@ -145,7 +145,7 @@ class AkTestResult(TestVerdict):
     """Verdict plus the run's derived quantities.
 
     samples_used counts every point drawn from the two accesses (batch,
-    flattening, and test draws).
+    flattening, and the l2 draws of the repeats that ran).
     """
 
     kappa: float
@@ -436,6 +436,7 @@ def ak_closeness_test(
         statistic=verdict.statistic,
         threshold=verdict.threshold,
         samples_used=verdict.samples_used + n,
+        z_values=verdict.z_values,
         kappa=kap,
         budget=m,
         batch_size=n,

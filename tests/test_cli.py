@@ -110,6 +110,8 @@ def test_test_round_trip_accepts_generated_equal_pair(runner, tmp_path):
     assert report["mode"] == "practical"
     assert report["statistic"] < report["threshold"]
     assert report["samples_used"] >= report["batch_size"]
+    assert len(report["z_values"]) in (2, 3)
+    assert report["statistic"] in report["z_values"]
 
 
 @pytest.mark.parametrize("value", [0, -1])

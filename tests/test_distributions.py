@@ -167,6 +167,8 @@ def test_spec_malformed_inputs(tmp_path):
     ],
 )
 def test_spec_dim_and_idx_must_be_json_integers(tmp_path, dim, idx):
+    # the loader checks dim; the index check is the constructor's
+    message = "must hold integers" if type(dim) is int else "must be a JSON integer"
     path = tmp_path / "spec.json"
     doc = {
         "dim": dim,
@@ -175,11 +177,16 @@ def test_spec_dim_and_idx_must_be_json_integers(tmp_path, dim, idx):
         "normalized": True,
     }
     path.write_text(json.dumps(doc))
-    with pytest.raises(InvalidInput, match="must be a JSON integer"):
+    with pytest.raises(InvalidInput, match=message):
         load_distribution_spec(path)
     doc.update(dim=1, mass=[{"idx": [1], "w": 1.0}])
     path.write_text(json.dumps(doc))
     assert load_distribution_spec(path).mass == {(1,): 1.0}
+    # a row equal as a dict key to an earlier integer row is still checked
+    doc.update(mass=[{"idx": [1], "w": 0.5}, {"idx": [1.0], "w": 0.5}])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInput, match="must hold integers"):
+        load_distribution_spec(path)
 
 
 def test_spec_duplicate_rows_accumulate(tmp_path):

@@ -1,5 +1,6 @@
 """Flattening, split distributions, and the robust l2 closeness test."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from aktest import (
     l2_collision_statistic,
     robust_l2_test,
 )
-from aktest.flatten import _z_from_arrays
+from aktest.flatten import _ROBUST_CONST, _draw_counts, _z_from_arrays
+from aktest.flatten import TestVerdict as Verdict  # a Test* name would be collected
 
 
 def test_split_map_single_occurrence():
@@ -269,6 +271,82 @@ def test_robust_l2_dict_accesses_work_too():
     q = lambda n, r: ["y"] * n
     verdict = robust_l2_test(p, q, b=1.0, eps=0.5, rng=rng)
     assert not verdict.accept
+
+
+def three_repeat_l2_test(p_access, q_access, b, eps, rng, *, counts_transform=None):
+    """robust_l2_test without the early stop: always three runs, median Z."""
+    m = math.ceil(_ROBUST_CONST * math.sqrt(b) / (eps * eps))
+    threshold = m * m * eps * eps / 2.0
+    z_values = []
+    used = 0
+    for _ in range(3):
+        sides = []
+        for access in (p_access, q_access):
+            n = int(rng.poisson(m))
+            used += n
+            uids, counts = _draw_counts(access, n, rng)
+            if counts_transform is not None:
+                uids, counts = counts_transform(uids, counts, rng)
+            sides += [uids, counts]
+        z_values.append(_z_from_arrays(*sides))
+    statistic = float(np.median(z_values))
+    return Verdict(statistic < threshold, statistic, threshold, used, tuple(z_values))
+
+
+def check_early_stop(verdict, reference):
+    """verdict stops once two runs agree and otherwise matches reference."""
+    ran = len(verdict.z_values)
+    z, threshold = verdict.z_values, verdict.threshold
+    assert ran == (2 if (z[0] >= threshold) == (z[1] >= threshold) else 3)
+    assert z == reference.z_values[:ran]
+    assert verdict.accept == reference.accept
+    assert verdict.threshold == reference.threshold
+    assert verdict.statistic in z
+    assert (verdict.statistic >= threshold) == (not verdict.accept)
+    if ran == 3:
+        assert verdict.statistic == reference.statistic
+        assert verdict.samples_used == reference.samples_used
+    else:
+        assert verdict.statistic == (max(z) if verdict.accept else min(z))
+        assert verdict.samples_used < reference.samples_used
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(0, 6),
+    st.floats(0.3, 1.0),
+    st.floats(0.02, 1.0),
+    st.lists(st.integers(0, 45), max_size=30),
+)
+def test_robust_l2_early_stop_matches_three_repeats(seed, dom, shift, eps, b, multiset):
+    p = lambda n, r: r.integers(0, dom, size=n)
+    q = lambda n, r: r.integers(0, dom, size=n) + (r.random(n) < 0.5) * shift
+    transform = build_split_map(np.array(multiset, dtype=np.int64)).split_counts_arrays
+    for counts_transform in (None, transform):
+        args = (p, q, b, eps)
+        verdict = robust_l2_test(
+            *args, np.random.default_rng(seed), counts_transform=counts_transform
+        )
+        reference = three_repeat_l2_test(
+            *args, np.random.default_rng(seed), counts_transform=counts_transform
+        )
+        check_early_stop(verdict, reference)
+
+
+def test_robust_l2_runs_the_third_repeat_only_on_a_split_vote():
+    # m = 16 per side and threshold 32; E[Z] = m^2 ||p - q||^2 = 8, and Z
+    # spreads widely enough at this m that some votes split
+    p = lambda n, r: r.integers(0, 4, size=n)
+    q = lambda n, r: r.integers(0, 4, size=n) + (r.random(n) < 0.5)
+    ran = []
+    for seed in range(40):
+        verdict = robust_l2_test(p, q, b=1.0, eps=0.5, rng=np.random.default_rng(seed))
+        reference = three_repeat_l2_test(p, q, 1.0, 0.5, np.random.default_rng(seed))
+        check_early_stop(verdict, reference)
+        ran.append(len(verdict.z_values))
+    assert 2 in ran and 3 in ran
 
 
 def test_flatten_closeness_validation():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aktest.flatten
 from aktest import (
     InvalidInput,
     TesterConfig,
@@ -33,6 +34,7 @@ from aktest.tester import (
     check_constants,
 )
 from test_covering import BLOCK_EDGES, reference_codes
+from test_flatten import check_early_stop, three_repeat_l2_test
 
 
 def uniform_access(d=1):
@@ -514,18 +516,19 @@ def test_choice_index_is_rng_choice(k):
 
 # Trial 0 of each benchmark cell, drawn with the acceptance gate's generators:
 # family, k, budget multiplier, gate seed, then statistic and threshold (hex),
-# samples_used and batch_size. Any change to the RNG stream of the families
-# or the tester moves these.
+# samples_used, batch_size and the Z of each repeat. Any change to the RNG
+# stream of the families or the tester moves these. Each trial stops after two
+# agreeing repeats; their Z are the first two that three repeats would draw.
 GATE_PINS = [
-    ("uniform-equal", 8, 1.0, 201, "0x1.8c00000000000p+8", "0x1.f716a4800ca47p+15", 1752637, 88),
-    ("hist-equal", 16, 1.0, 202, "-0x1.29e0000000000p+13", "0x1.54c9241060290p+16", 4250904, 279),
-    ("hist-far", 16, 4.0, 204, "0x1.080a000000000p+16", "0x1.2549ec72db79ep+14", 497011, 1043),
+    ("uniform-equal", 8, 1.0, 201, "0x1.c7b0000000000p+13", "0x1.f716a4800ca47p+15", 1169249, 88, (14582, -6518)),
+    ("hist-equal", 16, 1.0, 202, "-0x1.29e0000000000p+13", "0x1.54c9241060290p+16", 2838512, 279, (-9532, -12734)),
+    ("hist-far", 16, 4.0, 204, "0x1.f174000000000p+15", "0x1.2549ec72db79ep+14", 332609, 1043, (63674, 70166)),
 ]
 
 
 @pytest.mark.parametrize("pin", GATE_PINS, ids=[pin[0] for pin in GATE_PINS])
 def test_gate_streams_are_pinned(pin):
-    family, k, multiplier, seed, statistic, threshold, samples, batch = pin
+    family, k, multiplier, seed, statistic, threshold, samples, batch, z_values = pin
     rng = np.random.default_rng((seed, 0))
     instance = make_instance(family, k, 1.0, rng)
     config = TesterConfig.practical(k, 2, 1.0, budget_multiplier=multiplier)
@@ -533,6 +536,34 @@ def test_gate_streams_are_pinned(pin):
     assert result.statistic.hex() == statistic
     assert result.threshold.hex() == threshold
     assert (result.samples_used, result.batch_size) == (samples, batch)
+    assert result.z_values == z_values
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["uniform-equal", "hist-equal", "hist-far"]),
+    st.sampled_from([4, 8]),
+    st.sampled_from([4.0, 6.0, 8.0, 16.0]),
+)
+def test_early_stop_keeps_the_three_repeat_verdict(seed, family, k, multiplier):
+    config = TesterConfig.practical(k, 2, 1.0, budget_multiplier=multiplier)
+
+    def run():
+        rng = np.random.default_rng(seed)
+        instance = make_instance(family, k, 1.0, rng)
+        return ak_closeness_test(instance.p_access, instance.q_access, config, rng)
+
+    result = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aktest.flatten, "robust_l2_test", three_repeat_l2_test)
+        reference = run()
+    check_early_stop(result, reference)
+    assert (result.budget, result.batch_size, result.kappa) == (
+        reference.budget,
+        reference.batch_size,
+        reference.kappa,
+    )
 
 
 def test_ladder_lookup_rejects_bad_ladders():
