@@ -13,17 +13,17 @@ the verdict bit-for-bit unchanged for a fixed seed.
 Per fresh sample of a d-dimensional test, the full-length arrays are:
 
 - the points, (n, d) float64, 8d bytes, freed after the last axis lookup;
-- the tie bounds and the tie draw, (n,) int32 each, 4 bytes, only while an
-  axis has a tied query;
-- the (n, d) int32 gap matrix, 4d bytes, which the tie draw adds into;
+- the (n, d) int32 gap matrix, 4d bytes, which the tie slots add into;
 - the (n, d) int32 cover levels, 4d bytes;
 - the (n,) int64 codes, 8 bytes, and their sorted copy in the count stage.
 
 Every int32 draw is the int64 draw's stream: numpy draws a bound below
 2^32 with one 32-bit word per try whatever the output dtype. A batch of at
 most ``_BATCH_CAP`` points keeps every rank, gap and gap + m below 2^31.
-Every RNG draw is one whole-array call, so the stream does not depend on
-blocking; the deterministic work after each draw (bucket lookup, slot
+The stream does not depend on blocking: the points and the cover levels
+are one whole-array call each, and the tie slots are drawn block by block
+from 32-bit words that continue one stream, exactly as one whole-array
+call would draw them. The deterministic work (bucket lookup, slot
 compares, gap shift and clip, code arithmetic) runs over blocks of
 ``_BLOCK`` samples, whose temporaries stay in a core's L2 cache.
 """
@@ -31,6 +31,7 @@ compares, gap shift and clip, code arithmetic) runs over blocks of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -73,12 +74,16 @@ class TesterConfig:
         for name in ("k", "d", "eps"):  # True is an int, but no k, d or eps
             if isinstance(getattr(self, name), bool):
                 raise InvalidInput(f"{name} must be a number, got a bool")
-        if not isinstance(self.k, int) or self.k < 2:
+        if not isinstance(self.k, numbers.Integral) or self.k < 2:
             raise InvalidInput(f"k must be an integer >= 2, got {self.k}")
-        if not isinstance(self.d, int) or self.d < 1:
+        if not isinstance(self.d, numbers.Integral) or self.d < 1:
             raise InvalidInput(f"d must be an integer >= 1, got {self.d}")
-        if not (isinstance(self.eps, (int, float)) and 0 < self.eps <= 2):
+        if not (isinstance(self.eps, numbers.Real) and 0 < self.eps <= 2):
             raise InvalidInput(f"eps must be in (0, 2], got {self.eps}")
+        # numpy scalars in, Python numbers stored
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "eps", float(self.eps))
         if self.mode not in ("paper", "practical"):
             raise InvalidInput(f"mode must be paper or practical, got {self.mode!r}")
         for name in sorted(_CONSTANT_KEYS):
@@ -299,26 +304,58 @@ class LadderLookup:
         jitter of every point. This continuous-jitter lift stands in for
         the paper's assumption that every coordinate has a continuous CDF.
 
-        The counts are found one block of queries at a time; the tie draw is
-        one whole-array call. A draw over no ties consumes nothing from the
-        generator, so it is skipped when no query ties; the stream depends
-        only on the ties. It draws int32, the same stream as an int64 draw.
+        The counts and the slots are found one block of queries at a time.
+        numpy draws nothing for a bound of 1, so only the queries with
+        ties > 0 draw, through ``_bounded_int32``: the stream is that of
+        one whole-array ``rng.integers(0, ties + 1, dtype=np.int32)`` call,
+        and a block without ties costs no draw.
         """
         if out is None:
             out = np.empty(len(x), dtype=np.int32)
-        bounds = None  # ties + 1, filled only in blocks that hold a tie
         for s in range(0, len(x), _BLOCK):
             block = slice(s, s + _BLOCK)
             i = self._index(x[block])
             np.take(self._left, i, out=out[block], mode="clip")
             hit = self._values[i] == x[block]
             if hit.any():
-                if bounds is None:
-                    bounds = np.ones(len(x), dtype=np.int32)
-                np.add(self._ties[i], 1, out=bounds[block], where=hit)
-        if bounds is not None:
-            out += rng.integers(0, bounds, dtype=np.int32)
+                hit = np.flatnonzero(hit)
+                ties = self._ties[i[hit]]
+                tied = ties > 0  # +inf matches the +inf sentinel with no ties
+                hit += s
+                out[hit[tied]] += _bounded_int32(rng, ties[tied].astype(np.uint64) + 1)
         return out
+
+
+def _bounded_int32(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """``rng.integers(0, bounds, dtype=np.int32)`` bit for bit, for uint64
+    bounds in [2, 2^31], also in the generator state it leaves.
+
+    numpy draws each such slot with Lemire's method: a 32-bit word w gives
+    (w b) >> 32, and a word with (w b) mod 2^32 < (2^32 - b) mod b is
+    rejected for the next one. Words drawn one call after another continue
+    one stream, so this draws one word per bound and, after a rejection,
+    pairs every later bound with the word after its own; the words that
+    run out are drawn at the end, one per bound still open.
+    """
+    out = np.empty(len(bounds), dtype=np.int32)
+    words = np.empty(0, dtype=np.uint32)
+    done = used = 0  # bounds filled, words spent
+    window = len(bounds)  # twice the last run: many rejections cost linear time
+    while done < len(bounds):
+        if used == len(words):
+            words = rng.integers(0, 2**32, size=len(bounds) - done, dtype=np.uint32)
+            used = 0
+        w = min(len(words) - used, len(bounds) - done, window)
+        b = bounds[done : done + w]
+        product = words[used : used + w] * b
+        low = product.astype(np.uint32)
+        maybe = np.flatnonzero(low < b)  # (2^32 - b) mod b < b: the rest pass
+        bad = maybe[low[maybe] < (2**32 - b[maybe]) % b[maybe]]
+        t = int(bad[0]) if len(bad) else w
+        out[done : done + t] = product[:t] >> 32
+        done, used = done + t, used + t + (t < w)
+        window = max(64, 2 * t)
+    return out
 
 
 def _choice_index(masses) -> Callable[[np.ndarray], np.ndarray]:

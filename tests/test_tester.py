@@ -28,6 +28,7 @@ from aktest.tester import (
     _BATCH_CAP,
     _CONSTANT_KEYS,
     LadderLookup,
+    _bounded_int32,
     _choice_index,
     _encoded_access,
     _padded_size,
@@ -68,6 +69,17 @@ def test_config_validation():
         TesterConfig(k=4, d=1, eps=1.0, s_multiplier=-1.0)
     with pytest.raises(InvalidInput):
         TesterConfig(k=4.0, d=1, eps=1.0)  # k must be an int, not a float
+
+
+def test_config_takes_numpy_scalars_as_python_numbers():
+    config = TesterConfig(k=np.int64(8), d=np.int32(2), eps=np.float32(1.0))
+    assert (config.k, config.d, config.eps) == (8, 2, 1.0)
+    assert (type(config.k), type(config.d), type(config.eps)) == (int, int, float)
+    assert config == TesterConfig(k=8, d=2, eps=1.0)
+    assert TesterConfig.practical(np.uint8(4), np.int64(1), np.float64(0.5)).eps == 0.5
+    for bad in (dict(k=np.int64(1)), dict(d=np.int64(0)), dict(eps=np.float32(2.5))):
+        with pytest.raises(InvalidInput):
+            TesterConfig(**{"k": 4, "d": 1, "eps": 1.0, **bad})
 
 
 @pytest.mark.parametrize("field", ["k", "d", "eps"])
@@ -468,12 +480,53 @@ def test_int32_draws_are_the_int64_stream(n, pending):
         assert narrow.bit_generator.state == wide.bit_generator.state
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("high", [11, 2**31 + 1])
+def test_bounded_int32_is_numpys_array_bound_draw(bit_generator, pending, high):
+    # Bounds up to 2^31 reject up to a third of the words; bounds of 2 to
+    # 10 hardly ever do. Values, and the generator's next draws, must equal
+    # numpy's whole-array call, also with a half word pending, for empty
+    # draws, and for calls split into chunks.
+    for seed in range(4):
+        bounds = np.random.default_rng(seed).integers(2, high, size=2000, dtype=np.uint64)
+        ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        if pending:  # three 32-bit words leave half of a 64-bit output
+            for rng in (ours, theirs):
+                rng.integers(0, 5, size=3)
+        chunks = np.split(bounds, [0, 1, 700, 700, 1999])
+        drawn = np.concatenate([_bounded_int32(ours, chunk) for chunk in chunks])
+        assert drawn.dtype == np.int32
+        assert np.array_equal(drawn, theirs.integers(0, bounds, dtype=np.int32))
+        assert np.array_equal(ours.integers(0, 2**63, size=5), theirs.integers(0, 2**63, size=5))
+        assert ours.random() == theirs.random()
+
+
+def test_bounded_int32_rejects_like_numpy():
+    # 2^31 - 2^29 + 1 rejects a word with probability about 1/4 ...
+    bounds = np.full(3000, 2**31 - 2**29 + 1, dtype=np.uint64)
+    ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
+    assert np.array_equal(_bounded_int32(ours, bounds), theirs.integers(0, bounds, dtype=np.int32))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # ... and so the words drawn exceed the bounds by the rejections
+    words = np.random.default_rng(1).integers(0, 2**32, size=3000, dtype=np.uint32)
+    low = (words * bounds) & 0xFFFFFFFF
+    assert (low < (2**32 - bounds) % bounds).sum() > 500
+    empty = np.random.default_rng(1)
+    assert _bounded_int32(empty, bounds[:0]).shape == (0,)
+    assert empty.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+
 @pytest.mark.parametrize(
-    "family, k, bound", [("hist-equal", 16, 36), ("uniform-equal", 8, 48)]
+    "family, k, bound", [("hist-equal", 16, 36), ("uniform-equal", 8, 32)]
 )
 def test_fresh_draw_peak_bytes_per_sample(family, k, bound):
-    # One count of fresh encoded samples: points, int32 ties, gaps and
-    # levels, int64 codes and their sorted copy, never all at once.
+    # One count of fresh encoded samples: points, int32 gaps and levels,
+    # int64 codes and their sorted copy, never all at once; the tie slots
+    # are drawn one block at a time, with no full-length bounds.
     rng = np.random.default_rng((202, 0))
     instance = make_instance(family, k, 1.0, rng)
     batch = instance.p_access(279, rng)
