@@ -13,7 +13,7 @@ the verdict bit-for-bit unchanged for a fixed seed.
 Per fresh sample of a d-dimensional test, the full-length arrays are:
 
 - the points, (n, d) float64, 8d bytes, freed after the last axis lookup;
-- the (n, d) int32 gap matrix, 4d bytes, which the tie slots add into;
+- the (n, d) int32 gap matrix, 4d bytes: rank counts plus tie slots;
 - the (n, d) int32 cover levels, 4d bytes;
 - the (n,) int64 codes, 8 bytes, and their sorted copy in the count stage.
 
@@ -23,7 +23,7 @@ most ``_BATCH_CAP`` points keeps every rank, gap and gap + m below 2^31.
 The stream does not depend on blocking: the points and the cover levels
 are one whole-array call each, and the tie slots are drawn block by block
 from 32-bit words that continue one stream, exactly as one whole-array
-call would draw them. The deterministic work (bucket lookup, slot
+call would draw them. The deterministic work (rank-table lookup, exact
 compares, gap shift and clip, code arithmetic) runs over blocks of
 ``_BLOCK`` samples, whose temporaries stay in a core's L2 cache.
 """
@@ -230,16 +230,17 @@ class LadderLookup:
     ``searchsorted`` left and right minus left give, including for +-inf
     queries. NaN has no rank and must be rejected by the caller.
 
-    The distinct ladder values are hashed into buckets by a monotone
-    function of the value, so values in an earlier bucket are below the
-    query and values in a later one are above it; only the few values
-    sharing the query's bucket are compared exactly, one table per slot
-    of a bucket. When the values are too unevenly spread for buckets to
-    stay small, one binary search over the distinct values replaces them.
+    A monotone function of the value hashes the distinct ladder values
+    into 16 buckets per value: values in an earlier bucket are below the
+    query, values in a later one above it. ``rank[b]`` counts the ladder
+    values below bucket b, or is -1 if b holds one; only queries reading
+    -1 compare exactly, with at most ``depth`` values from ``start[b]``,
+    and only they can tie. Too uneven a spread for small buckets falls
+    back to one binary search over the distinct values.
     """
 
     _MAX_DEPTH = 8  # most distinct values one bucket may hold
-    _MAX_BUCKETS = 1 << 16  # bounds the tables at 8 * 2^16 bytes each
+    _MAX_BUCKETS = 1 << 16  # bounds the two tables at 12 * 2^16 bytes
 
     def __init__(self, ladder):
         ladder = np.asarray(ladder, dtype=float)
@@ -248,49 +249,54 @@ class LadderLookup:
         values, left, ties = np.unique(
             np.sort(ladder), return_index=True, return_counts=True
         )
-        # One entry past the top value: +inf, every ladder value below, no ties.
-        self._values = np.append(values, np.inf)
+        # One entry past the top value: NaN, which no query passes or equals.
+        self._values = np.append(values, np.nan)
         self._left = np.append(left, len(ladder)).astype(np.int32)
-        self._ties = np.append(ties, 0).astype(np.int32)
-        self._slots = None
-        if len(values) < 2:
-            return
+        self._ties = ties.astype(np.int32)
+        self._rank = None
         buckets = min(1 << (16 * len(values)).bit_length(), self._MAX_BUCKETS)
         lo = values[0]
         with np.errstate(over="ignore", divide="ignore"):
             scale = buckets / (values[-1] - lo)
-        if not 0.0 < scale < math.inf:
+        if not 0.0 < scale < math.inf:  # one distinct value, or a span past float
             return
         bucket = np.minimum(((values - lo) * scale).astype(np.intp), buckets - 1)
-        depth = int(np.bincount(bucket).max())
-        if depth > self._MAX_DEPTH:
+        counts = np.bincount(bucket, minlength=buckets).astype(np.int32)
+        self._depth = int(counts.max())
+        if self._depth > self._MAX_DEPTH:
             return
-        start = np.searchsorted(bucket, np.arange(buckets))
-        end = np.append(start[1:], len(values))
-        # slots[s][b]: the s-th smallest value of bucket b, +inf past its end
-        self._slots = [
-            np.where(start + s < end, self._values[np.minimum(start + s, len(values))], np.inf)
-            for s in range(depth)
-        ]
-        self._start, self._lo, self._scale, self._top = start, lo, scale, buckets - 1
+        self._start = np.cumsum(counts, dtype=np.intp) - counts  # values below b
+        self._rank = np.where(counts > 0, -1, self._left[self._start])
+        self._lo, self._scale, self._top = lo, scale, buckets - 1
 
-    def _index(self, x: np.ndarray, side: str = "left") -> np.ndarray:
-        """Index of the first distinct value >= x, or > x for side "right"."""
-        if self._slots is None:
-            return np.searchsorted(self._values[:-1], x, side=side)
-        with np.errstate(over="ignore"):  # an overflow to +-inf clips
-            t = (x - self._lo) * self._scale
-        np.clip(t, 0, self._top, out=t)
-        b = t.astype(np.intp)
-        below = np.zeros(len(x), dtype=np.uint8)
-        compare = np.less if side == "left" else np.less_equal
-        for slot in self._slots:
-            below += compare(slot[b], x)
-        return self._start[b] + below
+    def _count(self, x: np.ndarray, out: np.ndarray | None = None, side: str = "left"):
+        """int32 counts of ladder values < x (<= x for side "right"), into
+        ``out`` if given; the queries compared exactly; their value indices."""
+        if out is None:
+            out = np.empty(len(x), dtype=np.int32)
+        walk = slice(None)  # all queries, or those whose bucket holds a value
+        if self._rank is None:
+            i = np.searchsorted(self._values[:-1], x, side=side)
+        else:
+            with np.errstate(over="ignore"):  # an overflow to +-inf clips
+                t = (x - self._lo) * self._scale
+            np.clip(t, 0, self._top, out=t)
+            i = t.astype(np.intp)  # the bucket, then the distinct value
+            if 2 * np.count_nonzero(self._rank[i[:256]] < 0) <= len(i[:256]):
+                np.take(self._rank, i, out=out, mode="clip")
+                walk = np.flatnonzero(out < 0)  # most of the first 256 read a count
+                i = i[walk]
+            np.take(self._start, i, out=i, mode="clip")
+            xw, v = x[walk], t[: len(i)]  # v: t's memory, for the value gathers
+            compare = np.less if side == "left" else np.less_equal
+            for _ in range(self._depth):
+                i += compare(np.take(self._values, i, out=v, mode="clip"), xw)
+        out[walk] = np.take(self._left, i, mode="clip")
+        return out, walk, i
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i = self._index(x)
-        return self._left[i], np.where(self._values[i] == x, self._ties[i], 0)
+        left = self._count(x)[0]
+        return left, self._count(x, side="right")[0] - left
 
     def positions(
         self, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
@@ -314,15 +320,10 @@ class LadderLookup:
             out = np.empty(len(x), dtype=np.int32)
         for s in range(0, len(x), _BLOCK):
             block = slice(s, s + _BLOCK)
-            i = self._index(x[block])
-            np.take(self._left, i, out=out[block], mode="clip")
-            hit = self._values[i] == x[block]
-            if hit.any():
-                hit = np.flatnonzero(hit)
-                ties = self._ties[i[hit]]
-                tied = ties > 0  # +inf matches the +inf sentinel with no ties
-                hit += s
-                out[hit[tied]] += _bounded_int32(rng, ties[tied].astype(np.uint64) + 1)
+            _, walk, i = self._count(x[block], out[block])
+            hit = np.flatnonzero(self._values[i] == x[block][walk])
+            at = hit if isinstance(walk, slice) else walk[hit]
+            out[s + at] += _bounded_int32(rng, self._ties[i[hit]].astype(np.uint64) + 1)
         return out
 
 
@@ -375,8 +376,7 @@ def _choice_index(masses) -> Callable[[np.ndarray], np.ndarray]:
     def index(u: np.ndarray) -> np.ndarray:
         out = np.empty(len(u), dtype=np.int64)
         for s in range(0, len(u), _BLOCK):
-            i = lookup._index(u[s : s + _BLOCK], side="right")
-            out[s : s + _BLOCK] = lookup._left[i]  # int32 table, int64 out
+            out[s : s + _BLOCK] = lookup._count(u[s : s + _BLOCK], side="right")[0]
         return out
 
     return index

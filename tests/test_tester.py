@@ -399,6 +399,88 @@ def test_ladder_lookup_on_each_path(ladder):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+@st.composite
+def bucket_edge_ladders(draw):
+    """Dyadic ladders whose values sit exactly on bucket edges, plus one
+    bucket filled with ``fill`` values, and the degenerate spans."""
+    depth = LadderLookup._MAX_DEPTH
+    fill = draw(st.sampled_from([1, depth, depth + 1, "one value", "overflow"]))
+    if fill == "one value":
+        return np.array([draw(finite)] * draw(st.integers(1, 4))), None
+    if fill == "overflow":  # hi - lo is +inf
+        return np.array([-1e308, draw(st.floats(-1.0, 1.0)), 1e308]), None
+    extra = draw(st.integers(0, 30))
+    n = 2 + fill + extra  # distinct values, which fix the bucket count
+    buckets = min(1 << (16 * n).bit_length(), LadderLookup._MAX_BUCKETS)
+    full = draw(st.integers(1, buckets - 2))
+    edges = draw(
+        st.lists(
+            st.integers(1, buckets - 1).filter(lambda e: e != full),
+            min_size=extra,
+            max_size=extra,
+            unique=True,
+        )
+    )
+    # j / 16 is the bucket coordinate: lo at 0, hi at the top edge
+    j = [0, 16 * buckets] + [16 * full + s for s in range(fill)] + [16 * e for e in edges]
+    lo = draw(st.sampled_from([0.0, -3.0, 1024.0]))
+    step = 2.0 ** draw(st.sampled_from([-40, -4, 0, 20]))
+    values = lo + np.array(j, dtype=float) * step
+    ladder = np.concatenate([values, draw(st.lists(st.sampled_from(values), max_size=20))])
+    return ladder, fill
+
+
+@settings(max_examples=200, deadline=None)
+@given(bucket_edge_ladders(), st.integers(0, 2**32 - 1), st.data())
+def test_ladder_lookup_on_bucket_edges(case, seed, data):
+    ladder, fill = case
+    lookup = LadderLookup(ladder)
+    if fill is not None:  # a bucket past _MAX_DEPTH falls back to the search
+        assert (lookup._rank is None) == (fill > LadderLookup._MAX_DEPTH)
+    values = np.unique(ladder)
+    with np.errstate(over="ignore"):
+        near = [np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+        between = values[:-1] / 2 + values[1:] / 2
+        outside = [values[0] - 1.0, values[-1] + 1.0, -np.inf, np.inf]
+    pool = np.concatenate([values, *near, between, outside])
+    inside = st.floats(values[0], values[-1])  # mostly buckets without a value
+    x = data.draw(st.lists(st.sampled_from(pool) | inside | finite, max_size=80))
+    x = np.array(x + [-np.inf, np.inf])
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(lookup.positions(x, ours), reference_positions(ladder, x, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    if fill is None:
+        return
+    # the same ladder as a cdf: choice counts the cdf values <= u
+    cdf = np.sort(ladder)
+    cdf = (cdf - cdf[0]) / (cdf[-1] - cdf[0])  # exact: dyadic values
+    with np.errstate(over="ignore"):
+        u = (x - values[0]) / (values[-1] - values[0])
+    masses = np.diff(cdf, prepend=0.0)
+    index = _choice_index(masses)
+    drawn = index(u)
+    assert drawn.dtype == np.int64
+    assert np.array_equal(drawn, cdf.searchsorted(u, side="right"))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(index(ours.random(len(x))), theirs.choice(len(masses), len(x), p=masses))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_ladder_lookup_construction_memory():
+    # 1094 distinct values hash into 2^15 buckets. The rank and start
+    # tables take 12 bytes per bucket; their temporaries must stay small.
+    ladder = np.random.default_rng(0).random(1094)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lookup = LadderLookup(ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lookup._rank) == 1 << 15
+    assert (peak - base) / len(lookup._rank) <= 24
+
+
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_positions_across_block_edges(n):
     # ties in the second and last blocks only, and infinite queries
