@@ -7,7 +7,7 @@ of m / 2^l gaps each; the covering family is the set of products of one run
 per axis. Every gap lies in exactly one run per level, so every in-span
 cell lies in exactly log2(m)^d family rectangles.
 
-A family rectangle has one id, an int64 code. On each axis, run t of level
+A family rectangle has one id, an integer code. On each axis, run t of level
 l has the heap number 2^l + t, an axis id in 2..2m-1 (0 and 1 name no run).
 The code is the mixed-radix number of the dim axis ids in base 2m, the
 first axis most significant, so codes sort as the per-axis (level, run)
@@ -185,25 +185,26 @@ class CoverFamily:
         """Vectorized induced outcomes from per-axis gap indices.
 
         gaps: (n, d) int array, -1 marking "outside the span" on that axis.
-        Returns (n,) int64 codes of heap-numbered axis ids (the module's one
-        id), EMPTY_CODE for any row with an outside axis. One uniform level
-        draw per axis per row, consumed regardless of emptiness so the rng
-        stream depends only on n. The int32 levels are the int64 draw's
-        stream; gap + m must fit the gaps' dtype.
+        Returns (n,) codes of heap-numbered axis ids (the module's one id),
+        EMPTY_CODE for any row with an outside axis: int32 while the code
+        space fits 31 bits, dim * bit_length(2m - 2) <= 31, else int64. One
+        uniform level draw per axis per row, consumed regardless of
+        emptiness so the rng stream depends only on n. The int32 levels are
+        the int64 draw's stream; gap + m must fit the gaps' dtype.
         """
         gaps = np.asarray(gaps)
         if gaps.ndim != 2 or gaps.shape[1] != self.dim:
             raise InvalidInput("gaps must have shape (n, d)")
         n = gaps.shape[0]
         levels = rng.integers(1, self.levels + 1, size=(n, self.dim), dtype=np.int32)
-        base = np.int64(2 * self.m)
-        codes = np.zeros(n, dtype=np.int64)
+        digit = self.per_axis_count.bit_length()  # base 2m = 2^digit
+        codes = np.zeros(n, dtype=np.int32 if self.dim * digit <= 31 else np.int64)
         for s in range(0, n, _BLOCK):
             code = codes[s : s + _BLOCK]
             empty = np.zeros(len(code), dtype=bool)
             for level, gap in zip(levels[s : s + _BLOCK].T, gaps[s : s + _BLOCK].T):
                 # axis id 2^level + run of an in-span gap; -1 rows are empty
-                code *= base
+                code <<= digit
                 code += np.right_shift(gap + self.m, self.levels - level)
                 empty |= gap < 0
             code[empty] = EMPTY_CODE

@@ -54,18 +54,18 @@ def _strip_histogram_access(
     strip_of = _choice_index(masses)
 
     def access(n: int, rng: np.random.Generator) -> np.ndarray:
-        # rng.choice(k, size=n, p=masses), then the offset along the strip,
-        # then the coordinate across it: three whole draws, in this order
-        u = rng.random(n)
+        # three whole draws, in order: the uniforms of rng.choice(k, size=n,
+        # p=masses) into the across row, the offsets along, then the across row
         pts = np.empty((2, n))
-        along = pts[axis]
+        along, across = pts[axis], pts[1 - axis]
+        rng.random(out=across)
         rng.random(out=along)
-        rng.random(out=pts[1 - axis])
         for s in range(0, n, _BLOCK):
-            comp = strip_of(u[s : s + _BLOCK])
+            comp = strip_of(across[s : s + _BLOCK])
             block = along[s : s + _BLOCK]
             block *= widths[comp]
             block += edges[comp]
+        rng.random(out=across)
         return pts.T
 
     return access

@@ -1,12 +1,13 @@
 """Flattening (split distributions) and the robust l2 closeness tester.
 
-A sample access is a callable ``access(n, rng) -> 1-d array of n codes``.
-Counts are always array pairs: the sorted distinct codes of a draw and
-their int64 counts. ``robust_l2_test`` takes codes of any sortable dtype;
-``flatten_closeness`` needs integer codes, because split pieces are keyed
-by arithmetic on them. All randomness flows through the generator the
-caller passes in, so runs are reproducible and order-independent of
-wall-clock effects.
+A sample access is a callable ``access(n, rng) -> 1-d array of n codes``
+of any sortable dtype. Counts are always array pairs: the sorted distinct
+codes of a draw and their int64 counts. A split never expands them: the
+split elements' counts move into one int64 piece vector per side, laid
+out by the split map, so both sides' pieces line up slot for slot and no
+piece needs a code. All randomness flows through the generator the caller
+passes in, so runs are reproducible and order-independent of wall-clock
+effects.
 """
 
 from __future__ import annotations
@@ -65,21 +66,27 @@ def l2_collision_statistic(counts_p: Mapping, counts_q: Mapping) -> float:
 
 def _z_from_arrays(
     uids_p: np.ndarray, counts_p: np.ndarray, uids_q: np.ndarray, counts_q: np.ndarray
-) -> float:
-    """l2_collision_statistic over sorted, distinct codes per side.
+) -> int:
+    """l2_collision_statistic over sorted, distinct codes per side, as an int.
 
     Z = sum X^2 + sum Y^2 - 2 sum XY - sum X - sum Y, where the cross term
     runs over the codes both sides hold. A stable sort of the two sorted
     runs is one merge, and a shared code lands in two adjacent slots, the
-    p side first.
+    p side first; only the codes are merged, not the counts.
     """
     keys = np.concatenate([uids_p, uids_q])
-    values = np.concatenate([counts_p, counts_q]).astype(np.int64)
     order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    shared = np.flatnonzero(ordered[1:] == ordered[:-1])
-    cross = values[order[shared]] @ values[order[shared + 1]]
-    return float(values @ values - 2 * cross - values.sum())
+    keys = keys[order]
+    shared = np.flatnonzero(keys[1:] == keys[:-1])
+    cross = counts_p[order[shared]] @ counts_q[order[shared + 1] - len(uids_p)]
+    z = counts_p @ counts_p + counts_q @ counts_q - 2 * cross
+    return int(z - counts_p.sum() - counts_q.sum())
+
+
+def _z_of_pieces(pieces_p: np.ndarray, pieces_q: np.ndarray) -> int:
+    """Z over two piece vectors of one split map, whose slots line up."""
+    gap = pieces_p - pieces_q
+    return int(gap @ gap - pieces_p.sum() - pieces_q.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +118,11 @@ class SplitMap:
     def max_parts(self) -> int:
         return 1 + (int(self.counts.max()) if len(self.counts) else 0)
 
+    @cached_property
+    def piece_start(self) -> np.ndarray:
+        """Where element i's a_i adjacent pieces start, then the piece count."""
+        return np.concatenate([[0], np.cumsum(1 + self.counts)])
+
     # ---- exact pushforward -------------------------------------------------
 
     def pushforward(self, masses: Mapping) -> dict:
@@ -132,55 +144,38 @@ class SplitMap:
     def split_counts_arrays(
         self, uids: np.ndarray, counts: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Redistribute observed counts of sorted, distinct integer codes
+        """Redistribute the observed counts of sorted, distinct codes
         multinomially over the split pieces.
 
         That is equivalent in distribution to splitting each sample
         independently, since the uniform piece choices within one element
-        are exchangeable. Split pieces are encoded as uid * max_parts +
-        (j - 1); both sides of a test share the map, hence the encoding, so
-        joint keys line up. The output is sorted by code and may hold pieces
-        with count 0. Raises InvalidInput when a piece code would overflow
-        int64.
+        are exchangeable. Returns a copy of the counts with every split
+        element's count zeroed, and the int64 piece vector: piece j + 1 of
+        ``elements[i]`` is at ``piece_start[i] + j``, so both sides of a
+        test, which share the map, line up slot for slot. Unobserved
+        elements' pieces hold 0.
 
         The multinomial split runs as a chain of binomials, vectorised over
         the split elements present: piece j of an element with a parts takes
         Bin(remaining, 1 / (a - j + 1)) of what the earlier pieces left, and
         the last piece takes the rest.
         """
-        parts = self.max_parts
-        if parts == 1 or not len(uids):
-            return uids.astype(np.int64), counts
-        # uids are sorted, so the two ends bound every piece code.
-        if uids[0] < -(2**63 // parts) or uids[-1] > (2**63 - parts) // parts:
-            raise InvalidInput(
-                f"split codes overflow int64: codes span [{uids[0]}, {uids[-1]}]"
-                f" with {parts} pieces per element"
-            )
-        codes = uids.astype(np.int64) * parts
-        pos = np.minimum(np.searchsorted(uids, self.elements), len(uids) - 1)
-        found = uids[pos] == self.elements
-        pos, a = pos[found], 1 + self.counts[found]
-        if not len(pos):
-            return codes, counts
-        # Output slots: element i of uids takes reps[i] adjacent slots from
-        # start[i]; slot start[i] + j holds piece j + 1, coded uid * parts + j.
-        reps = np.ones(len(uids), dtype=np.int64)
-        reps[pos] = a
-        start = np.cumsum(reps) - reps
-        owner = np.repeat(np.arange(len(uids)), reps)
-        piece = np.arange(len(owner)) - start[owner]
-        out = counts[owner]
-        first = start[pos]
-        left = counts[pos].astype(np.int64)
+        pieces = np.zeros(self.piece_start[-1], dtype=np.int64)
+        pos = np.searchsorted(uids, self.elements)
+        found = np.flatnonzero(pos < len(uids))
+        found = found[uids[pos[found]] == self.elements[found]]
+        pos, a, first = pos[found], 1 + self.counts[found], self.piece_start[found]
+        left = counts[pos]  # a fancy index copies
+        counts = counts.copy()
+        counts[pos] = 0
         live = np.arange(len(pos))
-        for j in range(int(a.max()) - 1):
+        for j in range(int(a.max(initial=1)) - 1):
             live = live[a[live] > j + 1]
             draw = rng.binomial(left[live], 1.0 / (a[live] - j))
-            out[first[live] + j] = draw
+            pieces[first[live] + j] = draw
             left[live] -= draw
-        out[first + a - 1] = left
-        return codes[owner] + piece, out
+        pieces[first + a - 1] = left
+        return counts, pieces
 
 
 def build_split_map(samples) -> SplitMap:
@@ -219,7 +214,7 @@ def robust_l2_test(
     eps: float,
     rng: np.random.Generator,
     *,
-    counts_transform: Callable | None = None,
+    split: SplitMap | None = None,
 ) -> TestVerdict:
     """Poissonized l2 closeness test robust to an l2-norm bound b.
 
@@ -235,8 +230,9 @@ def robust_l2_test(
     median Z when three ran), so "reject iff statistic >= threshold" is
     preserved under boosting.
 
-    ``counts_transform(uids, counts, rng)`` post-processes each side's
-    count arrays before the statistic (the flattening step plugs in here).
+    With a ``split`` map, Z is that of the split distributions: each
+    side's draw is split by ``split.split_counts_arrays``, and Z is the
+    unsplit codes' Z plus the piece vectors' sum (P_p - P_q)^2 - P_p - P_q.
     """
     if b <= 0 or not math.isfinite(b):
         raise InvalidInput(f"norm bound b must be positive and finite, got {b}")
@@ -248,19 +244,20 @@ def robust_l2_test(
             f"l2 test needs Poi({m}) draws per side, above _DRAW_CAP = {_DRAW_CAP}"
         )
     threshold = m * m * eps * eps / 2.0
+    split = build_split_map([]) if split is None else split
     z_values = []
     rejects = 0
     used = 0
     while max(rejects, len(z_values) - rejects) <= _REPEATS // 2:
-        sides = []
+        sides, pieces = [], []
         for access in (p_access, q_access):
             n = int(rng.poisson(m))
             used += n
             uids, counts = _draw_counts(access, n, rng)
-            if counts_transform is not None:
-                uids, counts = counts_transform(uids, counts, rng)
+            counts, piece = split.split_counts_arrays(uids, counts, rng)
             sides += [uids, counts]
-        z_values.append(_z_from_arrays(*sides))
+            pieces.append(piece)
+        z_values.append(float(_z_from_arrays(*sides) + _z_of_pieces(*pieces)))
         rejects += z_values[-1] >= threshold
     reject = rejects > _REPEATS // 2
     majority = [z for z in z_values if (z >= threshold) == reject]
@@ -311,6 +308,6 @@ def flatten_closeness(
         b=40.0 / m0,
         eps=eps / math.sqrt(3.0),
         rng=rng,
-        counts_transform=split.split_counts_arrays,
+        split=split,
     )
     return replace(verdict, samples_used=verdict.samples_used + n_flat)

@@ -15,7 +15,8 @@ Per fresh sample of a d-dimensional test, the full-length arrays are:
 - the points, (n, d) float64, 8d bytes, freed after the last axis lookup;
 - the (n, d) int32 gap matrix, 4d bytes: rank counts plus tie slots;
 - the (n, d) int32 cover levels, 4d bytes;
-- the (n,) int64 codes, 8 bytes, and their sorted copy in the count stage.
+- the (n,) codes, 4 bytes (int32 up to 31 code bits, else int64), and
+  their sorted copy in the count stage, which splits the distinct codes.
 
 Every int32 draw is the int64 draw's stream: numpy draws a bound below
 2^32 with one 32-bit word per try whatever the output dtype. A batch of at

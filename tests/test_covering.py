@@ -244,6 +244,24 @@ def test_sample_ids_encoded_blocks_match_the_unblocked_encode(n, d):
     assert n < 100 or 0 < np.mean(codes == EMPTY_CODE) < 0.1
 
 
+# Codes are int32 exactly when d * bit_length(2m - 2) <= 31: at d = 2 that is
+# 30 bits at m = 2^14 and 32 at m = 2^15; at d = 1 and m = 2^30 the top code
+# is 2^31 - 1.
+@pytest.mark.parametrize(
+    "d, m, dtype", [(2, 2**14, np.int32), (2, 2**15, np.int64), (1, 2**30, np.int32)]
+)
+def test_code_dtype_follows_the_code_space(d, m, dtype):
+    cover = CoverFamily(m, d)
+    gaps = np.random.default_rng(m).integers(-1, m, size=(1000, d))
+    gaps[0] = m - 1  # the top gap on every axis, at the top level, is the top code
+    for layout in (gaps, gaps.astype(np.int32)):
+        ours, theirs = np.random.default_rng(d), np.random.default_rng(d)
+        codes = cover.sample_ids_encoded(layout, ours)
+        assert codes.dtype == dtype
+        assert np.array_equal(codes, reference_codes(cover, gaps, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_sampled_ids_match_exact_induced_distribution():
     # chi-squared goodness of fit of the sampling path against the exact
     # induced measure of a 3-cell distribution, 10^4 draws

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -17,7 +17,8 @@ from aktest import (
     l2_collision_statistic,
     robust_l2_test,
 )
-from aktest.flatten import _ROBUST_CONST, _draw_counts, _z_from_arrays
+from aktest.covering import EMPTY_CODE
+from aktest.flatten import _ROBUST_CONST, _draw_counts, _z_from_arrays, _z_of_pieces
 from aktest.flatten import TestVerdict as Verdict  # a Test* name would be collected
 
 
@@ -83,46 +84,29 @@ def test_split_l2_never_grows(multiset, weights):
 def test_split_counts_arrays_encoding():
     rng = np.random.default_rng(53)
     split = build_split_map(np.array([1, 1, 4]))
+    assert split.piece_start.tolist() == [0, 3, 5]  # 3 pieces of 1, then 2 of 4
     uids = np.array([0, 1, 4], dtype=np.int64)
     counts = np.array([5, 30, 12], dtype=np.int64)
-    out_u, out_c = split.split_counts_arrays(uids, counts, rng)
-    assert list(out_u) == sorted(out_u)
-    parts = split.max_parts
-    totals = {}
-    for code, c in zip(out_u, out_c):
-        elem, piece = int(code) // parts, int(code) % parts + 1
-        assert 1 <= piece <= split.a(elem)
-        totals[elem] = totals.get(elem, 0) + int(c)
-    assert totals == {0: 5, 1: 30, 4: 12}
+    rest, pieces = split.split_counts_arrays(uids, counts, rng)
+    assert rest.tolist() == [5, 0, 0] and counts.tolist() == [5, 30, 12]
+    assert pieces.dtype == np.int64 and len(pieces) == 5
+    assert pieces[:3].sum() == 30 and pieces[3:].sum() == 12
 
 
-def test_split_counts_arrays_reject_code_overflow():
-    # 16 parts per element: uid * 16 + j wraps int64 for uid = 2**60
-    rng = np.random.default_rng(57)
-    split = build_split_map(np.array([2**60] * 15, dtype=np.int64))
-    assert split.max_parts == 16
-    counts = np.array([3, 4], dtype=np.int64)
-    with pytest.raises(InvalidInput):
-        split.split_counts_arrays(np.array([0, 2**60], dtype=np.int64), counts, rng)
-    with pytest.raises(InvalidInput):
-        split.split_counts_arrays(np.array([-(2**60), 0], dtype=np.int64), counts, rng)
-    # the largest uid whose pieces still fit: its last piece is 2**63 - 1
-    top = (2**63 - 16) // 16
-    split = build_split_map(np.array([top] * 15, dtype=np.int64))
-    out_u, out_c = split.split_counts_arrays(np.array([0, top], dtype=np.int64), counts, rng)
-    assert out_u[-1] == 2**63 - 1 and np.all(np.diff(out_u) > 0)
-    assert out_c.sum() == counts.sum()
-
-
-def split_totals(split, out_u, out_c):
-    """Per-element totals and per-piece counts of a split array pair."""
-    parts = split.max_parts
-    totals, pieces = {}, {}
-    for code, c in zip(out_u.tolist(), out_c.tolist()):
-        elem, piece = divmod(code, parts)
-        totals[elem] = totals.get(elem, 0) + c
-        pieces.setdefault(elem, [0] * split.a(elem))[piece] += c
-    return totals, pieces
+def split_totals(split, uids, rest, pieces):
+    """Per-element totals of a split draw, and the pieces of each split
+    element, which hold nothing for an element the draw lacks."""
+    totals = dict(zip(uids.tolist(), rest.tolist()))
+    start = split.piece_start.tolist()
+    per_elem = {}
+    for i, elem in enumerate(split.elements.tolist()):
+        per_elem[elem] = pieces[start[i] : start[i + 1]].tolist()
+        if elem in totals:
+            assert totals[elem] == 0
+            totals[elem] = sum(per_elem[elem])
+        else:
+            assert per_elem[elem] == [0] * split.a(elem)
+    return totals, per_elem
 
 
 def test_split_counts_arrays_pieces_are_uniform():
@@ -132,14 +116,13 @@ def test_split_counts_arrays_pieces_are_uniform():
     split = build_split_map(np.array([2, 2, 2] + [5] * 19 + [9]))
     uids = np.array([0, 2, 5, 7], dtype=np.int64)
     counts = np.array([13, 40_000, 60_000, 1], dtype=np.int64)
-    out_u, out_c = split.split_counts_arrays(uids, counts, rng)
-    assert np.all(np.diff(out_u) > 0)
-    totals, pieces = split_totals(split, out_u, out_c)
+    rest, pieces = split.split_counts_arrays(uids, counts, rng)
+    assert rest.tolist() == [13, 0, 0, 1]
+    totals, per_elem = split_totals(split, uids, rest, pieces)
     assert totals == {0: 13, 2: 40_000, 5: 60_000, 7: 1}
-    assert pieces[0] == [13] and pieces[7] == [1]
-    assert len(pieces[2]) == 4 and len(pieces[5]) == 20
-    assert chisquare(pieces[2]).pvalue > 0.01
-    assert chisquare(pieces[5]).pvalue > 0.01
+    assert len(per_elem[2]) == 4 and len(per_elem[5]) == 20
+    assert chisquare(per_elem[2]).pvalue > 0.01
+    assert chisquare(per_elem[5]).pvalue > 0.01
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,11 +135,102 @@ def test_split_counts_arrays_conserve_counts(multiset, observed, seed):
     split = build_split_map(np.array(multiset, dtype=np.int64))
     uids = np.array(sorted(observed), dtype=np.int64)
     counts = np.array([observed[u] for u in sorted(observed)], dtype=np.int64)
-    out_u, out_c = split.split_counts_arrays(uids, counts, np.random.default_rng(seed))
-    assert np.all(np.diff(out_u) > 0) and np.all(out_c >= 0)
-    totals, pieces = split_totals(split, out_u, out_c)
+    rest, pieces = split.split_counts_arrays(uids, counts, np.random.default_rng(seed))
+    assert np.all(rest >= 0) and np.all(pieces >= 0)
+    assert len(pieces) == len(split.elements) + len(multiset)
+    totals, per_elem = split_totals(split, uids, rest, pieces)
     assert totals == observed
-    assert all(len(p) == split.a(elem) for elem, p in pieces.items())
+    assert all(len(p) == split.a(elem) for elem, p in per_elem.items())
+
+
+def expanded_split(split, uids, counts, rng):
+    """The split as piece codes uid * max_parts + j, sorted, with a count
+    per piece: the expanded form whose statistic the piece vectors must
+    reproduce, from the same binomial chain in the same order."""
+    parts = split.max_parts
+    if parts == 1 or not len(uids):
+        return uids.astype(np.int64), counts
+    codes = uids.astype(np.int64) * parts
+    pos = np.minimum(np.searchsorted(uids, split.elements), len(uids) - 1)
+    found = uids[pos] == split.elements
+    pos, a = pos[found], 1 + split.counts[found]
+    if not len(pos):
+        return codes, counts
+    reps = np.ones(len(uids), dtype=np.int64)
+    reps[pos] = a
+    start = np.cumsum(reps) - reps
+    owner = np.repeat(np.arange(len(uids)), reps)
+    piece = np.arange(len(owner)) - start[owner]
+    out = counts[owner]
+    first = start[pos]
+    left = counts[pos].astype(np.int64)
+    live = np.arange(len(pos))
+    for j in range(int(a.max()) - 1):
+        live = live[a[live] > j + 1]
+        draw = rng.binomial(left[live], 1.0 / (a[live] - j))
+        out[first[live] + j] = draw
+        left[live] -= draw
+    out[first + a - 1] = left
+    return codes[owner] + piece, out
+
+
+def merged_z(uids_p, counts_p, uids_q, counts_q):
+    """Z by a stable argsort of both sides' concatenation: a shared code
+    lands in two adjacent slots, the p side first."""
+    keys = np.concatenate([uids_p, uids_q])
+    values = np.concatenate([counts_p, counts_q]).astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    shared = np.flatnonzero(ordered[1:] == ordered[:-1])
+    cross = values[order[shared]] @ values[order[shared + 1]]
+    return float(values @ values - 2 * cross - values.sum())
+
+
+def count_arrays(counts, dtype=np.int64):
+    keys = sorted(counts)
+    return np.array(keys, dtype=dtype), np.array([counts[k] for k in keys], dtype=np.int64)
+
+
+def split_z(split, counts_p, counts_q, rng):
+    """Z of two split draws as robust_l2_test forms it."""
+    sides, pieces = [], []
+    for uids, counts in (counts_p, counts_q):
+        counts, piece = split.split_counts_arrays(uids, counts, rng)
+        sides += [uids, counts]
+        pieces.append(piece)
+    return float(_z_from_arrays(*sides) + _z_of_pieces(*pieces))
+
+
+codes = st.integers(-3, 30)  # EMPTY_CODE and other negative codes included
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(codes, max_size=40),
+    st.dictionaries(codes, st.integers(0, 60), max_size=20),
+    st.dictionaries(codes, st.integers(0, 60), max_size=20),
+    st.sampled_from([np.int32, np.int64]),
+    st.integers(0, 2**32 - 1),
+)
+@example([], {}, {}, np.int32, 0)  # nothing split, nothing drawn
+@example([4, 4, 9], {}, {}, np.int64, 1)  # empty draws
+@example([4, 4, 9], {1: 3, 2: 5}, {3: 4}, np.int64, 2)  # split elements not drawn
+@example([EMPTY_CODE, -3, -3, 7], {EMPTY_CODE: 9, -3: 40, 7: 1}, {-3: 2}, np.int32, 3)
+def test_split_statistic_matches_the_expanded_split(multiset, counts_p, counts_q, dtype, seed):
+    split = build_split_map(np.array(multiset, dtype=dtype))
+    sides = [count_arrays(counts, dtype) for counts in (counts_p, counts_q)]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    z = split_z(split, *sides, ours)
+    expanded = [expanded_split(split, *side, theirs) for side in sides]
+    assert z == merged_z(*expanded[0], *expanded[1])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # the split reads only the order of the codes: codes far past any piece
+    # code's int64 range split the same
+    far = build_split_map(np.array(multiset, dtype=np.int64) * 2**57)
+    again = np.random.default_rng(seed)
+    wide = [(uids.astype(np.int64) * 2**57, counts) for uids, counts in sides]
+    assert split_z(far, *wide, again) == z
+    assert again.bit_generator.state == ours.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,13 +239,7 @@ def test_split_counts_arrays_conserve_counts(multiset, observed, seed):
     st.dictionaries(st.integers(-1, 40), st.integers(0, 30)),
 )
 def test_array_statistic_matches_dict_statistic(counts_p, counts_q):
-    def arrays(counts):
-        keys = sorted(counts)
-        return np.array(keys, dtype=np.int64), np.array(
-            [counts[k] for k in keys], dtype=np.int64
-        )
-
-    z = _z_from_arrays(*arrays(counts_p), *arrays(counts_q))
+    z = _z_from_arrays(*count_arrays(counts_p), *count_arrays(counts_q))
     assert z == l2_collision_statistic(counts_p, counts_q)
 
 
@@ -188,13 +256,7 @@ def test_array_statistic_matches_dict_statistic(counts_p, counts_q):
     ],
 )
 def test_array_statistic_edge_cases(counts_p, counts_q, dtype):
-    def arrays(counts):
-        keys = sorted(counts)
-        return np.array(keys, dtype=dtype), np.array(
-            [counts[k] for k in keys], dtype=np.int64
-        )
-
-    z = _z_from_arrays(*arrays(counts_p), *arrays(counts_q))
+    z = _z_from_arrays(*count_arrays(counts_p, dtype), *count_arrays(counts_q, dtype))
     assert z == l2_collision_statistic(counts_p, counts_q)
 
 
@@ -273,28 +335,30 @@ def test_robust_l2_dict_accesses_work_too():
     assert not verdict.accept
 
 
-def three_repeat_l2_test(p_access, q_access, b, eps, rng, *, counts_transform=None):
-    """robust_l2_test without the early stop: always three runs, median Z."""
+def three_repeat_l2_test(p_access, q_access, b, eps, rng, *, split=None, draws):
+    """robust_l2_test without the early stop, and with the expanded split:
+    always three runs, median Z. Appends the draws of each run to draws."""
     m = math.ceil(_ROBUST_CONST * math.sqrt(b) / (eps * eps))
     threshold = m * m * eps * eps / 2.0
+    split = build_split_map([]) if split is None else split
     z_values = []
-    used = 0
     for _ in range(3):
         sides = []
+        draws.append(0)
         for access in (p_access, q_access):
             n = int(rng.poisson(m))
-            used += n
+            draws[-1] += n
             uids, counts = _draw_counts(access, n, rng)
-            if counts_transform is not None:
-                uids, counts = counts_transform(uids, counts, rng)
-            sides += [uids, counts]
-        z_values.append(_z_from_arrays(*sides))
+            sides += expanded_split(split, uids, counts, rng)
+        z_values.append(merged_z(*sides))
     statistic = float(np.median(z_values))
+    used = sum(draws[-3:])
     return Verdict(statistic < threshold, statistic, threshold, used, tuple(z_values))
 
 
-def check_early_stop(verdict, reference):
-    """verdict stops once two runs agree and otherwise matches reference."""
+def check_early_stop(verdict, reference, draws):
+    """verdict stops once two runs agree and otherwise matches reference,
+    whose three runs drew draws."""
     ran = len(verdict.z_values)
     z, threshold = verdict.z_values, verdict.threshold
     assert ran == (2 if (z[0] >= threshold) == (z[1] >= threshold) else 3)
@@ -305,10 +369,9 @@ def check_early_stop(verdict, reference):
     assert (verdict.statistic >= threshold) == (not verdict.accept)
     if ran == 3:
         assert verdict.statistic == reference.statistic
-        assert verdict.samples_used == reference.samples_used
     else:
         assert verdict.statistic == (max(z) if verdict.accept else min(z))
-        assert verdict.samples_used < reference.samples_used
+    assert verdict.samples_used == reference.samples_used - sum(draws[ran:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,19 +383,19 @@ def check_early_stop(verdict, reference):
     st.floats(0.02, 1.0),
     st.lists(st.integers(0, 45), max_size=30),
 )
+# a skipped third run that would have drawn nothing
+@example(seed=10193364, dom=2, shift=0, eps=0.75, b=0.0625, multiset=[])
 def test_robust_l2_early_stop_matches_three_repeats(seed, dom, shift, eps, b, multiset):
     p = lambda n, r: r.integers(0, dom, size=n)
     q = lambda n, r: r.integers(0, dom, size=n) + (r.random(n) < 0.5) * shift
-    transform = build_split_map(np.array(multiset, dtype=np.int64)).split_counts_arrays
-    for counts_transform in (None, transform):
+    for split in (None, build_split_map(np.array(multiset, dtype=np.int64))):
         args = (p, q, b, eps)
-        verdict = robust_l2_test(
-            *args, np.random.default_rng(seed), counts_transform=counts_transform
-        )
+        verdict = robust_l2_test(*args, np.random.default_rng(seed), split=split)
+        draws = []
         reference = three_repeat_l2_test(
-            *args, np.random.default_rng(seed), counts_transform=counts_transform
+            *args, np.random.default_rng(seed), split=split, draws=draws
         )
-        check_early_stop(verdict, reference)
+        check_early_stop(verdict, reference, draws)
 
 
 def test_robust_l2_runs_the_third_repeat_only_on_a_split_vote():
@@ -343,8 +406,11 @@ def test_robust_l2_runs_the_third_repeat_only_on_a_split_vote():
     ran = []
     for seed in range(40):
         verdict = robust_l2_test(p, q, b=1.0, eps=0.5, rng=np.random.default_rng(seed))
-        reference = three_repeat_l2_test(p, q, 1.0, 0.5, np.random.default_rng(seed))
-        check_early_stop(verdict, reference)
+        draws = []
+        reference = three_repeat_l2_test(
+            p, q, 1.0, 0.5, np.random.default_rng(seed), draws=draws
+        )
+        check_early_stop(verdict, reference, draws)
         ran.append(len(verdict.z_values))
     assert 2 in ran and 3 in ran
 

@@ -1,5 +1,6 @@
 """The end-to-end closeness tester and its budget formulas."""
 
+import functools
 import math
 import time
 import tracemalloc
@@ -607,7 +608,7 @@ def test_bounded_int32_rejects_like_numpy():
 )
 def test_fresh_draw_peak_bytes_per_sample(family, k, bound):
     # One count of fresh encoded samples: points, int32 gaps and levels,
-    # int64 codes and their sorted copy, never all at once; the tie slots
+    # int32 codes and their sorted copy, never all at once; the tie slots
     # are drawn one block at a time, with no full-length bounds.
     rng = np.random.default_rng((202, 0))
     instance = make_instance(family, k, 1.0, rng)
@@ -690,10 +691,12 @@ def test_early_stop_keeps_the_three_repeat_verdict(seed, family, k, multiplier):
         return ak_closeness_test(instance.p_access, instance.q_access, config, rng)
 
     result = run()
+    draws = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(aktest.flatten, "robust_l2_test", three_repeat_l2_test)
+        reference_l2 = functools.partial(three_repeat_l2_test, draws=draws)
+        patch.setattr(aktest.flatten, "robust_l2_test", reference_l2)
         reference = run()
-    check_early_stop(result, reference)
+    check_early_stop(result, reference, draws)
     assert (result.budget, result.batch_size, result.kappa) == (
         reference.budget,
         reference.batch_size,
