@@ -24,7 +24,7 @@ from .errors import InvalidInput
 from .families import FAMILY_NAMES, make_instance
 from .hardness import gen_hard_instance
 from .oracle import ak_distance_bruteforce
-from .tester import TesterConfig, ak_closeness_test, check_constants
+from .tester import _CONSTANT_KEYS, TesterConfig, ak_closeness_test
 from .verify import SUITES
 
 RESULTS_SCHEMA = "akr2"
@@ -32,12 +32,6 @@ CSV_HEADER = (
     "schema,trial,seed,family,k,d,eps,m,verdict,statistic,threshold,"
     "samples_used,error,wall_ms"
 )
-
-
-def _make_config(k: int, d: int, eps: float, mode: str, **overrides) -> TesterConfig:
-    if mode == "practical":
-        return TesterConfig.practical(k, d, eps, **overrides)
-    return TesterConfig.paper(k, d, eps, **overrides)
 
 
 def _usage(err: Exception) -> click.UsageError:
@@ -81,7 +75,8 @@ def cmd_test(p_spec, q_spec, k, eps, seed, mode, constants):
         if constants is not None:
             with open(constants, "r", encoding="utf-8") as fh:
                 overrides = check_constants(json.load(fh))
-        config = _make_config(k, p.dim, eps, mode, **overrides)
+        make = TesterConfig.practical if mode == "practical" else TesterConfig.paper
+        config = make(k, p.dim, eps, **overrides)
         result = ak_closeness_test(
             p.sample, q.sample, config, np.random.default_rng(seed)
         )
@@ -200,6 +195,17 @@ def _number(key: str, value, kind: type):
         raise InvalidInput(f"{key} must be a number in float range") from exc
 
 
+def check_constants(profile) -> dict:
+    """A constants profile of known keys as floats, for ``test --constants``
+    and an experiment's ``constants``; TesterConfig checks the ranges."""
+    if not isinstance(profile, dict):
+        raise InvalidInput("constants profile must be a JSON object")
+    unknown = set(profile) - _CONSTANT_KEYS
+    if unknown:
+        raise InvalidInput(f"unknown constants in profile: {sorted(unknown)}")
+    return {key: _number(f"constant {key}", v, float) for key, v in profile.items()}
+
+
 def _run_trial(task: dict) -> dict:
     """One experiment trial; module-level so worker processes can load it."""
     rng = np.random.default_rng((task["seed"], task["trial"]))
@@ -212,11 +218,12 @@ def _run_trial(task: dict) -> dict:
     try:
         instance = make_instance(task["family"], task["k"], task["eps"], rng)
         row["d"] = instance.d
-        config = _make_config(
+        mode = task["mode"]
+        make = TesterConfig.practical if mode == "practical" else TesterConfig.paper
+        config = make(
             task["k"],
             instance.d,
             task["eps"],
-            task["mode"],
             budget_multiplier=task["budget_multiplier"],
             **task["constants"],
         )
@@ -238,7 +245,7 @@ def _run_trial(task: dict) -> dict:
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--trials", type=int, default=None, help="Override the config's count.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def cmd_experiment(config_file, out, trials, jobs):
     """Run a seeded trial sweep from a JSON config and append a results CSV.
 
@@ -299,12 +306,10 @@ def cmd_experiment(config_file, out, trials, jobs):
                 "budget_multiplier is a sweep axis; set it at the top level of"
                 " the config, not in constants"
             )
-        # range-check the profile once, on a valid instance, so that a bad
-        # profile is a usage error and a bad k stays its own cell's error row
-        TesterConfig.practical(2, 1, 1.0, **constants)
+        # range-check the mode and the profile once, on a valid instance, so
+        # that they are usage errors and a bad k stays its own cell's error row
         mode = spec.get("mode", "practical")
-        if mode not in ("paper", "practical"):
-            raise InvalidInput(f"mode must be paper or practical, got {mode!r}")
+        TesterConfig(k=2, d=1, eps=1.0, mode=mode, **constants)
         combos = list(
             itertools.product(
                 _as_list(spec.get("family", "uniform-equal")),

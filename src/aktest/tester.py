@@ -1,10 +1,12 @@
 """The end-to-end A_k closeness tester and its two reduction front-ends.
 
-Pipeline: draw a Poissonized batch from the even mixture of the two
-accesses, move to rank space (where the batch plus synthetic padding is
-the integer ladder 1..2^a + 1), build the dyadic cover of that grid, map
-fresh samples to induced cover-rectangle outcomes, and hand the resulting
-discrete pair to the flattening closeness test at accuracy sqrt(kappa).
+Pipeline: ``prepare`` -> ``flatten_closeness`` -> ``robust_l2_test``.
+``prepare`` draws a Poissonized batch from the even mixture of the two
+accesses and plans the run: the batch's rank ladders (with padding, the
+integer ladder 1..2^a + 1) and the dyadic cover of that grid. The plan's
+``encode`` maps fresh samples to induced cover-rectangle codes; the
+flattening test splits the coded pair by a mixture multiset and runs the
+l2 collision test on the split pair, at accuracy sqrt(kappa) overall.
 
 Everything after the batch draw consumes only comparisons against batch
 coordinates, so strictly monotone per-axis transforms of all inputs leave
@@ -40,7 +42,7 @@ import numpy as np
 
 from .covering import _BLOCK, CoverFamily
 from .errors import InvalidInput
-from .flatten import TestVerdict, flatten_closeness
+from .flatten import SampleAccess, TestVerdict, flatten_closeness
 
 PointAccess = Callable[[int, np.random.Generator], np.ndarray]
 
@@ -120,30 +122,7 @@ class TesterConfig:
         return cls(k=k, d=d, eps=eps, mode="practical", **profile)
 
 
-_INSTANCE_FIELDS = {"k", "d", "eps", "mode"}
-_CONSTANT_KEYS = {f.name for f in fields(TesterConfig)} - _INSTANCE_FIELDS
-
-
-def check_constants(profile) -> dict:
-    """A constants profile with known keys and numeric values, as floats.
-
-    Used for ``aktest test --constants`` and for the ``constants`` of an
-    ``aktest experiment`` config; range checks are left to ``TesterConfig``.
-    """
-    if not isinstance(profile, dict):
-        raise InvalidInput("constants profile must be a JSON object")
-    unknown = set(profile) - _CONSTANT_KEYS
-    if unknown:
-        raise InvalidInput(f"unknown constants in profile: {sorted(unknown)}")
-    out = {}
-    for key, value in profile.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidInput(f"constant {key} must be a number, got {value!r}")
-        try:
-            out[key] = float(value)
-        except OverflowError as exc:  # an int beyond float range
-            raise InvalidInput(f"constant {key} exceeds float range") from exc
-    return out
+_CONSTANT_KEYS = {f.name for f in fields(TesterConfig)} - {"k", "d", "eps", "mode"}
 
 
 @dataclass(frozen=True)
@@ -217,10 +196,7 @@ def flatten_set_count(config: TesterConfig, m: int) -> int:
 
 def _padded_size(n: int) -> int:
     """Smallest (power of two) + 1 that is >= max(3, n)."""
-    size = 3
-    while size < n:
-        size = 2 * size - 1
-    return size
+    return 1 + (1 << (max(n, 3) - 2).bit_length())
 
 
 class LadderLookup:
@@ -393,47 +369,55 @@ def _draw(access: PointAccess, n: int, d: int, rng: np.random.Generator) -> np.n
     return pts
 
 
-def _encoded_access(
-    side_access: PointAccess,
-    lookups: list[LadderLookup],
-    cover: CoverFamily,
-) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """Wrap a point access to emit induced cover-rectangle codes.
-
-    A fresh coordinate's rank position among the n batch values is its
-    strictly-smaller count plus a uniform draw over its ties (see
-    LadderLookup.positions). Position 0 is below the grid and any gap
-    beyond the padded ladder is above it; both map to the empty outcome.
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """The batch stage's hand-off: budget m, accuracy kappa, light-element
+    count s, the batch size, one LadderLookup per batch axis and the cover
+    of the padded grid. ``encode`` is the one reader of ladders and cover.
     """
-    top_gap, d = cover.m - 1, cover.dim
 
-    def access(n: int, rng: np.random.Generator) -> np.ndarray:
-        columns = np.ascontiguousarray(_draw(side_access, n, d, rng).T)
-        gaps = np.empty((d, n), dtype=np.int32).T  # contiguous columns
-        for j, lookup in enumerate(lookups):
-            gap = lookup.positions(columns[j], rng, out=gaps[:, j])
-            for s in range(0, n, _BLOCK):
-                block = gap[s : s + _BLOCK]
-                block -= 1
-                block[block > top_gap] = -1
-        del columns  # free the points before the level draw
-        return cover.sample_ids_encoded(gaps, rng)
+    m: int
+    kappa: float
+    s: int
+    batch_size: int
+    lookups: tuple[LadderLookup, ...]
+    cover: CoverFamily
 
-    return access
+    def encode(self, access: PointAccess) -> SampleAccess:
+        """A point access as an access of induced cover-rectangle codes.
+
+        A fresh coordinate's rank position among the batch values is its
+        strictly-smaller count plus a uniform draw over its ties (see
+        LadderLookup.positions). Position 0 is below the grid and any gap
+        beyond the padded ladder is above it; both map to the empty outcome.
+        """
+        top_gap, d = self.cover.m - 1, self.cover.dim
+
+        def codes(n: int, rng: np.random.Generator) -> np.ndarray:
+            columns = np.ascontiguousarray(_draw(access, n, d, rng).T)
+            gaps = np.empty((d, n), dtype=np.int32).T  # contiguous columns
+            for j, lookup in enumerate(self.lookups):
+                gap = lookup.positions(columns[j], rng, out=gaps[:, j])
+                for s in range(0, n, _BLOCK):
+                    block = gap[s : s + _BLOCK]
+                    block -= 1
+                    block[block > top_gap] = -1
+            del columns  # free the points before the level draw
+            return self.cover.sample_ids_encoded(gaps, rng)
+
+        return codes
 
 
-def ak_closeness_test(
+def prepare(
     p_access: PointAccess,
     q_access: PointAccess,
     config: TesterConfig,
     rng: np.random.Generator,
-) -> AkTestResult:
-    """Decide p = q versus A_k distance >= eps from sample access alone.
+) -> RunPlan:
+    """The batch stage: budgets, a Poissonized mixture batch, its ladders.
 
-    Accepts with probability >= 2/3 when p = q; rejects with probability
-    >= 2/3 when the A_k distance is at least eps (paper-mode guarantee;
-    practical mode trades the guarantee's constants for desk-scale budgets
-    and is validated empirically on planted families).
+    Every refusal (the paper-mode consistency condition, ``_BATCH_CAP``, an
+    empty batch) is raised here, before any fresh sample is drawn.
     """
     m = sample_budget(config)
     kap = kappa(config, m)
@@ -452,34 +436,44 @@ def ak_closeness_test(
             "lower budget_multiplier or the constants"
         )
     batch = np.vstack([_draw(p_access, n_p, d, rng), _draw(q_access, n_q, d, rng)])
-    n = len(batch)
-    if n == 0:
+    if not len(batch):
         raise InvalidInput(
             "the mixture batch came back empty; the accesses produce no "
             "samples at this budget"
         )
-    size = _padded_size(n)
-    cover = CoverFamily(size - 1, d)
-    lookups = [LadderLookup(batch[:, j]) for j in range(d)]
-    s = flatten_set_count(config, m)
-    verdict = flatten_closeness(
-        _encoded_access(p_access, lookups, cover),
-        _encoded_access(q_access, lookups, cover),
-        s,
-        math.sqrt(kap),
-        rng,
-    )
-    return AkTestResult(
-        accept=verdict.accept,
-        statistic=verdict.statistic,
-        threshold=verdict.threshold,
-        samples_used=verdict.samples_used + n,
-        z_values=verdict.z_values,
+    return RunPlan(
+        m=m,
         kappa=kap,
-        budget=m,
-        batch_size=n,
-        grid_values=size,
-        flatten_sets=s,
+        s=flatten_set_count(config, m),
+        batch_size=len(batch),
+        lookups=tuple(LadderLookup(column) for column in batch.T),
+        cover=CoverFamily(_padded_size(len(batch)) - 1, d),
+    )
+
+
+def ak_closeness_test(
+    p_access: PointAccess,
+    q_access: PointAccess,
+    config: TesterConfig,
+    rng: np.random.Generator,
+) -> AkTestResult:
+    """Decide p = q versus A_k distance >= eps from sample access alone.
+
+    Accepts with probability >= 2/3 when p = q; rejects with probability
+    >= 2/3 when the A_k distance is at least eps (paper-mode guarantee;
+    practical mode trades the guarantee's constants for desk-scale budgets
+    and is validated empirically on planted families).
+    """
+    plan = prepare(p_access, q_access, config, rng)
+    p_codes, q_codes = plan.encode(p_access), plan.encode(q_access)
+    verdict = flatten_closeness(p_codes, q_codes, plan.s, math.sqrt(plan.kappa), rng)
+    return AkTestResult(
+        **vars(replace(verdict, samples_used=verdict.samples_used + plan.batch_size)),
+        kappa=plan.kappa,
+        budget=plan.m,
+        batch_size=plan.batch_size,
+        grid_values=plan.cover.m + 1,
+        flatten_sets=plan.s,
     )
 
 

@@ -424,6 +424,27 @@ def test_experiment_refuses_a_negative_seed(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_refuses_jobs_below_one(runner, tmp_path, jobs):
+    config = experiment_config(tmp_path)
+    out = tmp_path / "results.csv"
+    result = runner.invoke(
+        main, ["experiment", str(config), "--out", str(out), "--jobs", jobs]
+    )
+    assert result.exit_code == 2, result.output
+    assert "--jobs" in result.output
+    assert not out.exists()
+
+
+def test_experiment_refuses_an_unknown_mode(runner, tmp_path):
+    config = experiment_config(tmp_path, mode="exact")
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "mode must be paper or practical" in result.output
+    assert not out.exists()
+
+
 def test_experiment_refuses_budget_multiplier_in_constants(runner, tmp_path):
     # the sweep value would silently replace it, so it must be set at the top
     config = experiment_config(

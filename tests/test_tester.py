@@ -23,17 +23,18 @@ from aktest import (
     sample_budget,
     tv_histogram_test,
 )
+from aktest.cli import check_constants
 from aktest.covering import _BLOCK, CoverFamily
-from aktest.flatten import _draw_counts
+from aktest.flatten import _draw_counts, flatten_closeness
 from aktest.tester import (
     _BATCH_CAP,
     _CONSTANT_KEYS,
     LadderLookup,
+    RunPlan,
     _bounded_int32,
     _choice_index,
-    _encoded_access,
     _padded_size,
-    check_constants,
+    prepare,
 )
 from test_covering import BLOCK_EDGES, reference_codes
 from test_flatten import check_early_stop, three_repeat_l2_test
@@ -519,14 +520,27 @@ def ladders_and_points(case, n, d, rng):
     return ladders, x
 
 
+def ladder_plan(ladders) -> RunPlan:
+    """A plan over given per-axis batch ladders; encode reads only those."""
+    n = len(ladders[0])
+    return RunPlan(
+        m=n,
+        kappa=1.0,
+        s=1,
+        batch_size=n,
+        lookups=tuple(LadderLookup(ladder) for ladder in ladders),
+        cover=CoverFamily(_padded_size(n) - 1, len(ladders)),
+    )
+
+
 @pytest.mark.parametrize("case", ["lattice", "continuous", "some-blocks", "edges"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_encoded_access_blocks_match_an_unblocked_reference(case, d, n):
     ladders, x = ladders_and_points(case, n, d, np.random.default_rng(10 * n + d))
-    cover = CoverFamily(_padded_size(len(ladders[0])) - 1, d)
-    lookups = [LadderLookup(ladder) for ladder in ladders]
-    access = _encoded_access(lambda n, rng: x, lookups, cover)
+    plan = ladder_plan(ladders)
+    cover = plan.cover
+    access = plan.encode(lambda n, rng: x)
     ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
     codes = access(n, ours)
     gaps = np.empty((n, d), dtype=np.int64)
@@ -613,9 +627,7 @@ def test_fresh_draw_peak_bytes_per_sample(family, k, bound):
     rng = np.random.default_rng((202, 0))
     instance = make_instance(family, k, 1.0, rng)
     batch = instance.p_access(279, rng)
-    cover = CoverFamily(_padded_size(len(batch)) - 1, 2)
-    lookups = [LadderLookup(batch[:, j]) for j in range(2)]
-    access = _encoded_access(instance.p_access, lookups, cover)
+    access = ladder_plan(batch.T).encode(instance.p_access)
     n = 1 << 19
     tracemalloc.start()
     try:
@@ -673,6 +685,76 @@ def test_gate_streams_are_pinned(pin):
     assert result.threshold.hex() == threshold
     assert (result.samples_used, result.batch_size) == (samples, batch)
     assert result.z_values == z_values
+
+
+def recorded(fn, results):
+    """fn, appending each of its results to ``results``."""
+
+    def wrapped(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    return wrapped
+
+
+@pytest.mark.parametrize("pin", GATE_PINS, ids=[pin[0] for pin in GATE_PINS])
+def test_stages_compose_to_the_tester(pin):
+    # prepare, then the flattening test on the plan's two encoded accesses,
+    # is the tester bit for bit, generator state included; samples_used is
+    # the batch plus the flattening multiset plus the l2 draws
+    family, k, multiplier, seed = pin[:4]
+    config = TesterConfig.practical(k, 2, 1.0, budget_multiplier=multiplier)
+    rng, staged = np.random.default_rng((seed, 0)), np.random.default_rng((seed, 0))
+    instance = make_instance(family, k, 1.0, rng)
+    result = ak_closeness_test(instance.p_access, instance.q_access, config, rng)
+    instance = make_instance(family, k, 1.0, staged)
+    splits, l2_verdicts = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, out in [("build_split_map", splits), ("robust_l2_test", l2_verdicts)]:
+            patch.setattr(aktest.flatten, name, recorded(getattr(aktest.flatten, name), out))
+        plan = prepare(instance.p_access, instance.q_access, config, staged)
+        p_codes, q_codes = plan.encode(instance.p_access), plan.encode(instance.q_access)
+        verdict = flatten_closeness(p_codes, q_codes, plan.s, math.sqrt(plan.kappa), staged)
+    assert rng.bit_generator.state == staged.bit_generator.state
+    assert (result.accept, result.statistic, result.threshold, result.z_values) == (
+        verdict.accept,
+        verdict.statistic,
+        verdict.threshold,
+        verdict.z_values,
+    )
+    assert (result.budget, result.kappa, result.flatten_sets) == (plan.m, plan.kappa, plan.s)
+    assert (result.batch_size, result.grid_values) == (plan.batch_size, plan.cover.m + 1)
+    [split], [l2] = splits, l2_verdicts
+    assert result.samples_used == plan.batch_size + split.flattening_size + l2.samples_used
+    assert result.samples_used == plan.batch_size + verdict.samples_used
+
+
+def test_prepare_refuses_before_any_fresh_draw():
+    # paper-mode consistency and _BATCH_CAP refuse before the batch draw, an
+    # empty batch right after it, so no refusal follows a fresh encoded draw
+    calls = []
+
+    def access(n, rng):
+        calls.append(n)
+        return rng.random((n, 1))
+
+    for config, match in [
+        (TesterConfig.paper(8, 1, 1.0), "consistency"),
+        (cheap_config(budget_multiplier=1e9), "_BATCH_CAP"),
+    ]:
+        with pytest.raises(InvalidInput, match=match):
+            prepare(access, access, config, np.random.default_rng(0))
+    assert calls == []
+    config = TesterConfig(k=2, d=1, eps=2.0, c_kappa=1e4)  # Poi(1) per side
+    for seed in range(200):
+        calls.clear()
+        try:
+            prepare(access, access, config, np.random.default_rng(seed))
+        except InvalidInput as err:
+            assert "empty" in str(err)
+            assert calls == [0, 0]  # the two batch draws, and nothing else
+            return
+    pytest.fail("no seed produced an empty mixture batch")
 
 
 @settings(max_examples=25, deadline=None)
