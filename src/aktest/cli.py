@@ -249,13 +249,13 @@ def _run_trial(task: dict) -> dict:
 def cmd_experiment(config_file, out, trials, jobs):
     """Run a seeded trial sweep from a JSON config and append a results CSV.
 
-    Sweep axes: family, k, eps, budget_multiplier (scalars or lists); seed,
-    trials and k must be JSON integers, eps and budget_multiplier JSON
-    numbers. The constants object is checked like `test --constants` (keys,
-    types and ranges) before any trial runs, and may not hold the sweep
-    axis budget_multiplier. Rows are
-    deterministic given (config, seed) except the wall_ms column; jobs
-    only changes the schedule, never the rows. A trial that raises becomes
+    Sweep axes: family, k, eps, budget_multiplier (scalars or non-empty
+    lists); seed, trials and k must be JSON integers, eps and
+    budget_multiplier JSON numbers. The constants object is checked like
+    `test --constants` (keys, types and ranges) before any trial runs, and
+    may not hold the sweep axis budget_multiplier. Rows are deterministic
+    given (config, seed) except the wall_ms column; jobs only changes the
+    schedule, never the rows. A trial that raises becomes
     a verdict=error row carrying the exception text; the sweep still
     writes every row, the sidecar and the summary, then exits 1. An
     existing file is only appended to when its header is this version's.
@@ -321,6 +321,8 @@ def cmd_experiment(config_file, out, trials, jobs):
                 ],
             )
         )
+        if not combos:
+            raise InvalidInput("every sweep axis needs at least one value")
         for family, *_ in combos:
             if family not in FAMILY_NAMES:
                 raise InvalidInput(

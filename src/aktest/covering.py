@@ -1,11 +1,11 @@
 """Dyadic covers of the integer gap grid.
 
 After rank reduction every coordinate is a gap index: each axis has m gaps
-(m a power of two), numbered 0..m-1, and -1 marks a coordinate outside the
-span. Per axis, level l (1..log2 m) splits the m gaps into 2^l aligned runs
-of m / 2^l gaps each; the covering family is the set of products of one run
-per axis. Every gap lies in exactly one run per level, so every in-span
-cell lies in exactly log2(m)^d family rectangles.
+(m a power of two), numbered 0..m-1; any gap outside them (-1 in the exact
+forms) is outside the span. Per axis, level l (1..log2 m) splits the m gaps
+into 2^l aligned runs of m / 2^l gaps each; the covering family is the set
+of products of one run per axis. Every gap lies in exactly one run per
+level, so every in-span cell lies in exactly log2(m)^d family rectangles.
 
 A family rectangle has one id, an integer code. On each axis, run t of level
 l has the heap number 2^l + t, an axis id in 2..2m-1 (0 and 1 name no run).
@@ -184,13 +184,13 @@ class CoverFamily:
     ) -> np.ndarray:
         """Vectorized induced outcomes from per-axis gap indices.
 
-        gaps: (n, d) int array, -1 marking "outside the span" on that axis.
-        Returns (n,) codes of heap-numbered axis ids (the module's one id),
+        gaps: (n, d) int array; any gap outside 0..m-1 puts its axis
+        outside the span. Returns (n,) codes of heap-numbered axis ids,
         EMPTY_CODE for any row with an outside axis: int32 while the code
         space fits 31 bits, dim * bit_length(2m - 2) <= 31, else int64. One
         uniform level draw per axis per row, consumed regardless of
         emptiness so the rng stream depends only on n. The int32 levels are
-        the int64 draw's stream; gap + m must fit the gaps' dtype.
+        the int64 draw's stream; in-span gap + m must fit the gaps' dtype.
         """
         gaps = np.asarray(gaps)
         if gaps.ndim != 2 or gaps.shape[1] != self.dim:
@@ -203,9 +203,9 @@ class CoverFamily:
             code = codes[s : s + _BLOCK]
             empty = np.zeros(len(code), dtype=bool)
             for level, gap in zip(levels[s : s + _BLOCK].T, gaps[s : s + _BLOCK].T):
-                # axis id 2^level + run of an in-span gap; -1 rows are empty
+                # axis id 2^level + run of an in-span gap
                 code <<= digit
                 code += np.right_shift(gap + self.m, self.levels - level)
-                empty |= gap < 0
+                empty |= (gap < 0) | (gap >= self.m)
             code[empty] = EMPTY_CODE
         return codes

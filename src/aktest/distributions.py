@@ -116,8 +116,6 @@ class DiscreteGridDistribution:
         if rect.dim != self.dim:
             raise InvalidInput("rectangle dimension mismatch")
         pts, w = self._arrays
-        if len(w) == 0:
-            return 0.0
         inside = np.ones(len(w), dtype=bool)
         for j in range(self.dim):
             inside &= (pts[:, j] >= rect.lo[j]) & (pts[:, j] <= rect.hi[j])
@@ -132,8 +130,6 @@ class DiscreteGridDistribution:
             raise InvalidInput("cannot sample from a zero measure")
         if not np.isfinite(total):
             raise InvalidInput(f"cannot sample: total mass overflows to {total}")
-        if n == 0:
-            return np.empty((0, self.dim))
         return pts[self._atom_of(rng.random(n))]
 
     @cached_property

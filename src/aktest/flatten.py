@@ -188,6 +188,14 @@ def build_split_map(samples) -> SplitMap:
     return SplitMap(uids, counts.astype(np.int64))
 
 
+def _draw_codes(access: SampleAccess, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n codes from an access, checked to be a 1-d array of exactly n."""
+    samples = np.asarray(access(n, rng))
+    if samples.shape != (n,):
+        raise InvalidInput(f"access must return shape {(n,)}, got {samples.shape}")
+    return samples
+
+
 def _draw_counts(
     access: SampleAccess, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,11 +204,7 @@ def _draw_counts(
     np.unique's result from one sort, with no flattened or cast copy; the
     unsorted draw is freed before the run starts are found.
     """
-    samples = np.asarray(access(n, rng))
-    if samples.ndim != 1:
-        raise InvalidInput("sample accesses must return 1-d codes")
-    ordered = np.sort(samples)
-    del samples
+    ordered = np.sort(_draw_codes(access, n, rng))
     first = np.empty(len(ordered), dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -299,9 +303,8 @@ def flatten_closeness(
     m0 = max(1, min(s // 100, math.ceil(cap)))
     n_mix = int(rng.poisson(m0))
     n_from_p = int(rng.binomial(n_mix, 0.5))  # Bin(0, 1/2) draws nothing
-    split = build_split_map(
-        np.concatenate([p_access(n_from_p, rng), q_access(n_mix - n_from_p, rng)])
-    )
+    sides = ((p_access, n_from_p), (q_access, n_mix - n_from_p))
+    split = build_split_map(np.concatenate([_draw_codes(a, n, rng) for a, n in sides]))
     verdict = robust_l2_test(
         p_access,
         q_access,

@@ -413,8 +413,6 @@ class HardInstance:
         square_of = _choice_index(masses / masses.sum())
 
         def access(n: int, rng: np.random.Generator) -> np.ndarray:
-            if n == 0:
-                return np.empty((0, 2))
             comp = square_of(rng.random(n))
             edge = _gadget_edges(codes[comp], rng, comp)
             return _gadget_points(centers, self.radius, edge, rng.random(n))

@@ -24,11 +24,11 @@ Every int32 draw is the int64 draw's stream: numpy draws a bound below
 2^32 with one 32-bit word per try whatever the output dtype. A batch of at
 most ``_BATCH_CAP`` points keeps every rank, gap and gap + m below 2^31.
 The stream does not depend on blocking: the points and the cover levels
-are one whole-array call each, and the tie slots are drawn block by block
-from 32-bit words that continue one stream, exactly as one whole-array
-call would draw them. The deterministic work (rank-table lookup, exact
-compares, gap shift and clip, code arithmetic) runs over blocks of
-``_BLOCK`` samples, whose temporaries stay in a core's L2 cache.
+are one whole-array call each, and the tie slots, drawn block by block,
+continue numpy's array-bound draw as one whole-array call would. The
+deterministic work (rank-table lookup, exact compares, code arithmetic)
+runs over blocks of ``_BLOCK`` samples, whose temporaries stay in a core's
+L2 cache. The cover alone marks gaps outside its span empty.
 """
 
 from __future__ import annotations
@@ -202,10 +202,10 @@ def _padded_size(n: int) -> int:
 class LadderLookup:
     """Exact rank lookup of query values against one axis of the batch.
 
-    ``lookup(x)`` returns ``(left, ties)`` per query: the number of ladder
-    values strictly below it and the number equal to it, exactly what
-    ``searchsorted`` left and right minus left give, including for +-inf
-    queries. NaN has no rank and must be rejected by the caller.
+    ``_count(x)`` gives per query the number of ladder values strictly
+    below it, exactly what ``searchsorted`` left gives, including for +-inf
+    queries, and finds the queries equal to a ladder value on the way.
+    NaN has no rank and must be rejected by the caller.
 
     A monotone function of the value hashes the distinct ladder values
     into 16 buckets per value: values in an earlier bucket are below the
@@ -229,7 +229,7 @@ class LadderLookup:
         # One entry past the top value: NaN, which no query passes or equals.
         self._values = np.append(values, np.nan)
         self._left = np.append(left, len(ladder)).astype(np.int32)
-        self._ties = ties.astype(np.int32)
+        self._slots = ties.astype(np.uint64) + 1  # a tied query's slot count
         self._rank = None
         buckets = min(1 << (16 * len(values)).bit_length(), self._MAX_BUCKETS)
         lo = values[0]
@@ -246,14 +246,14 @@ class LadderLookup:
         self._rank = np.where(counts > 0, -1, self._left[self._start])
         self._lo, self._scale, self._top = lo, scale, buckets - 1
 
-    def _count(self, x: np.ndarray, out: np.ndarray | None = None, side: str = "left"):
-        """int32 counts of ladder values < x (<= x for side "right"), into
-        ``out`` if given; the queries compared exactly; their value indices."""
+    def _count(self, x: np.ndarray, out: np.ndarray | None = None):
+        """int32 counts of ladder values < x, into ``out`` if given; the
+        queries compared exactly; their value indices."""
         if out is None:
             out = np.empty(len(x), dtype=np.int32)
         walk = slice(None)  # all queries, or those whose bucket holds a value
         if self._rank is None:
-            i = np.searchsorted(self._values[:-1], x, side=side)
+            i = np.searchsorted(self._values[:-1], x)
         else:
             with np.errstate(over="ignore"):  # an overflow to +-inf clips
                 t = (x - self._lo) * self._scale
@@ -265,15 +265,10 @@ class LadderLookup:
                 i = i[walk]
             np.take(self._start, i, out=i, mode="clip")
             xw, v = x[walk], t[: len(i)]  # v: t's memory, for the value gathers
-            compare = np.less if side == "left" else np.less_equal
             for _ in range(self._depth):
-                i += compare(np.take(self._values, i, out=v, mode="clip"), xw)
+                i += np.take(self._values, i, out=v, mode="clip") < xw
         out[walk] = np.take(self._left, i, mode="clip")
         return out, walk, i
-
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        left = self._count(x)[0]
-        return left, self._count(x, side="right")[0] - left
 
     def positions(
         self, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
@@ -291,7 +286,7 @@ class LadderLookup:
         numpy draws nothing for a bound of 1, so only the queries with
         ties > 0 draw, through ``_bounded_int32``: the stream is that of
         one whole-array ``rng.integers(0, ties + 1, dtype=np.int32)`` call,
-        and a block without ties costs no draw.
+        and a block without ties neither draws nor reads the generator state.
         """
         if out is None:
             out = np.empty(len(x), dtype=np.int32)
@@ -299,8 +294,9 @@ class LadderLookup:
             block = slice(s, s + _BLOCK)
             _, walk, i = self._count(x[block], out[block])
             hit = np.flatnonzero(self._values[i] == x[block][walk])
-            at = hit if isinstance(walk, slice) else walk[hit]
-            out[s + at] += _bounded_int32(rng, self._ties[i[hit]].astype(np.uint64) + 1)
+            if len(hit):
+                at = hit if isinstance(walk, slice) else walk[hit]
+                out[s + at] += _bounded_int32(rng, self._slots[i[hit]])
         return out
 
 
@@ -310,30 +306,19 @@ def _bounded_int32(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
 
     numpy draws each such slot with Lemire's method: a 32-bit word w gives
     (w b) >> 32, and a word with (w b) mod 2^32 < (2^32 - b) mod b is
-    rejected for the next one. Words drawn one call after another continue
-    one stream, so this draws one word per bound and, after a rejection,
-    pairs every later bound with the word after its own; the words that
-    run out are drawn at the end, one per bound still open.
+    rejected for the next one. This draws one word per bound; if one is
+    rejected (below 7 / 2^32 each at bounds up to 8), it rewinds the
+    generator and makes numpy's call. That call continues the same stream,
+    so this fast path exists for speed alone: numpy's call costs more.
     """
-    out = np.empty(len(bounds), dtype=np.int32)
-    words = np.empty(0, dtype=np.uint32)
-    done = used = 0  # bounds filled, words spent
-    window = len(bounds)  # twice the last run: many rejections cost linear time
-    while done < len(bounds):
-        if used == len(words):
-            words = rng.integers(0, 2**32, size=len(bounds) - done, dtype=np.uint32)
-            used = 0
-        w = min(len(words) - used, len(bounds) - done, window)
-        b = bounds[done : done + w]
-        product = words[used : used + w] * b
-        low = product.astype(np.uint32)
-        maybe = np.flatnonzero(low < b)  # (2^32 - b) mod b < b: the rest pass
-        bad = maybe[low[maybe] < (2**32 - b[maybe]) % b[maybe]]
-        t = int(bad[0]) if len(bad) else w
-        out[done : done + t] = product[:t] >> 32
-        done, used = done + t, used + t + (t < w)
-        window = max(64, 2 * t)
-    return out
+    state = rng.bit_generator.state
+    product = rng.integers(0, 2**32, size=len(bounds), dtype=np.uint32) * bounds
+    low = product.astype(np.uint32)
+    maybe = np.flatnonzero(low < bounds)  # (2^32 - b) mod b < b: the rest pass
+    if (low[maybe] < (2**32 - bounds[maybe]) % bounds[maybe]).any():
+        rng.bit_generator.state = state
+        return rng.integers(0, bounds, dtype=np.int32)
+    return (product >> 32).astype(np.int32)
 
 
 def _choice_index(masses) -> Callable[[np.ndarray], np.ndarray]:
@@ -341,19 +326,19 @@ def _choice_index(masses) -> Callable[[np.ndarray], np.ndarray]:
 
     numpy's choice draws ``u = rng.random(n)`` and returns
     ``cdf.searchsorted(u, side="right")``, with ``cdf = masses.cumsum()``
-    divided by its last entry: the count of cdf values <= u. A LadderLookup
-    of the cdf gives that count block by block (a zero mass is a tie), so
-    ``index(rng.random(n))`` is that choice bit for bit and leaves the
-    generator in the same state.
+    divided by its last entry: the count of cdf values <= u, which is the
+    count of their predecessors nextafter(c, -inf) < u. A LadderLookup of
+    the predecessors gives it block by block, so ``index(rng.random(n))``
+    is that choice bit for bit and leaves the generator in the same state.
     """
     cdf = np.asarray(masses, dtype=float).cumsum()
     cdf /= cdf[-1]
-    lookup = LadderLookup(cdf)
+    lookup = LadderLookup(np.nextafter(cdf, -np.inf))
 
     def index(u: np.ndarray) -> np.ndarray:
         out = np.empty(len(u), dtype=np.int64)
         for s in range(0, len(u), _BLOCK):
-            out[s : s + _BLOCK] = lookup._count(u[s : s + _BLOCK], side="right")[0]
+            out[s : s + _BLOCK] = lookup._count(u[s : s + _BLOCK])[0]
         return out
 
     return index
@@ -386,22 +371,19 @@ class RunPlan:
     def encode(self, access: PointAccess) -> SampleAccess:
         """A point access as an access of induced cover-rectangle codes.
 
-        A fresh coordinate's rank position among the batch values is its
-        strictly-smaller count plus a uniform draw over its ties (see
-        LadderLookup.positions). Position 0 is below the grid and any gap
-        beyond the padded ladder is above it; both map to the empty outcome.
+        A fresh coordinate's gap is its rank position among the batch
+        values, the strictly-smaller count plus a uniform draw over its ties
+        (LadderLookup.positions), minus one. The cover maps gap -1 (below
+        the grid) and gaps past the padded ladder to the empty outcome.
         """
-        top_gap, d = self.cover.m - 1, self.cover.dim
+        d = self.cover.dim
 
         def codes(n: int, rng: np.random.Generator) -> np.ndarray:
             columns = np.ascontiguousarray(_draw(access, n, d, rng).T)
             gaps = np.empty((d, n), dtype=np.int32).T  # contiguous columns
             for j, lookup in enumerate(self.lookups):
-                gap = lookup.positions(columns[j], rng, out=gaps[:, j])
-                for s in range(0, n, _BLOCK):
-                    block = gap[s : s + _BLOCK]
-                    block -= 1
-                    block[block > top_gap] = -1
+                lookup.positions(columns[j], rng, out=gaps[:, j])
+                gaps[:, j] -= 1
             del columns  # free the points before the level draw
             return self.cover.sample_ids_encoded(gaps, rng)
 

@@ -436,6 +436,17 @@ def test_experiment_refuses_jobs_below_one(runner, tmp_path, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["k", "family"])
+def test_experiment_refuses_an_empty_sweep_axis(runner, tmp_path, axis):
+    # an empty axis runs no trial; a header-only CSV would look like a run
+    config = experiment_config(tmp_path, **{axis: []})
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "at least one value" in result.output
+    assert not out.exists()
+
+
 def test_experiment_refuses_an_unknown_mode(runner, tmp_path):
     config = experiment_config(tmp_path, mode="exact")
     out = tmp_path / "results.csv"

@@ -35,6 +35,8 @@ def test_rect_masses_on_the_quarter_grid():
     assert d.mass_of(AxisRectangle((1.0, 1.0), (1.0, 2.0))) == 0.5  # one column
     assert d.mass_of(AxisRectangle((1.5, 1.5), (1.9, 1.9))) == 0.0
     assert d.mass_of(AxisRectangle((2.0, 2.0), (3.0, 3.0))) == 0.25  # closed corner
+    empty = DiscreteGridDistribution([(0.0, 1.0)], {})
+    assert empty.mass_of(AxisRectangle((0.0,), (1.0,))) == 0.0
 
 
 def test_constructor_validation():
@@ -73,7 +75,9 @@ def test_sample_shape_and_support():
     pts = d.sample(500, rng)
     assert pts.shape == (500, 2)
     assert set(map(tuple, pts)) <= {(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)}
+    state = rng.bit_generator.state
     assert d.sample(0, rng).shape == (0, 2)
+    assert rng.bit_generator.state == state
 
 
 def test_sampling_zero_measure_fails():

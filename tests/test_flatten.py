@@ -424,6 +424,27 @@ def test_flatten_closeness_validation():
         flatten_closeness(access, access, s=100, eps=-1.0, rng=rng)
 
 
+def test_wrong_length_code_draws_are_refused():
+    # n // 2 codes would give Z from half the draws while samples_used
+    # counts all n; the flattening multiset is held to the same check
+    full = lambda n, r: r.integers(0, 10, size=n)
+    half = lambda n, r: r.integers(0, 10, size=n // 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidInput, match="shape"):
+        robust_l2_test(half, full, b=1.0, eps=0.5, rng=rng)
+    with pytest.raises(InvalidInput, match="shape"):
+        _draw_counts(lambda n, r: np.zeros((n, 1)), 5, rng)
+    calls = []
+
+    def long_once(n, r):  # one code too many in the first draw, the multiset's
+        calls.append(n)
+        return r.integers(0, 10, size=n + (len(calls) == 1))
+
+    with pytest.raises(InvalidInput, match="shape"):
+        flatten_closeness(long_once, full, s=10_000, eps=0.3, rng=rng)
+    assert len(calls) == 1
+
+
 def test_flatten_closeness_accepts_equal():
     rng = np.random.default_rng(79)
     access = lambda n, r: r.integers(0, 10_000, size=n)

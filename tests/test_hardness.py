@@ -256,6 +256,15 @@ def test_hard_instance_sampler_is_the_whole_array_stream(k):
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def test_hard_instance_sampler_draws_nothing_for_no_points():
+    inst = gen_hard_instance(32, 3, 0.5, False, np.random.default_rng(73))
+    rng = np.random.default_rng(83)
+    rng.integers(0, 5, size=3)  # three 32-bit words leave half of a 64-bit output
+    state = rng.bit_generator.state
+    assert inst.sampler("p")(0, rng).shape == (0, 2)
+    assert rng.bit_generator.state == state
+
+
 def test_tuple_sampler_memory_is_bounded_per_tuple():
     # Whole-array draws held about 154 bytes per tuple (int64 draws, the
     # point array and its transposed copy); the blocked sampler about 41.

@@ -370,10 +370,10 @@ def ladders_and_queries(draw):
 def test_ladder_lookup_matches_two_searches(case, seed):
     ladder, x = case
     lookup = LadderLookup(ladder)
-    left, ties = lookup(x)
-    ordered = np.sort(ladder)
-    assert np.array_equal(left, np.searchsorted(ordered, x, side="left"))
-    assert np.array_equal(ties, np.searchsorted(ordered, x, side="right") - left)
+    left, walk, i = lookup._count(x)
+    assert np.array_equal(left, np.searchsorted(np.sort(ladder), x, side="left"))
+    tied = np.arange(len(x))[walk][lookup._values[i] == x[walk]]  # as positions finds them
+    assert np.array_equal(tied, np.flatnonzero(np.isin(x, ladder)))
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     assert np.array_equal(lookup.positions(x, ours), reference_positions(ladder, x, theirs))
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -539,16 +539,13 @@ def ladder_plan(ladders) -> RunPlan:
 def test_encoded_access_blocks_match_an_unblocked_reference(case, d, n):
     ladders, x = ladders_and_points(case, n, d, np.random.default_rng(10 * n + d))
     plan = ladder_plan(ladders)
-    cover = plan.cover
     access = plan.encode(lambda n, rng: x)
     ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
     codes = access(n, ours)
     gaps = np.empty((n, d), dtype=np.int64)
     for j, ladder in enumerate(ladders):
-        gap = reference_positions(ladder, x[:, j], theirs) - 1
-        gap[gap > cover.m - 1] = -1
-        gaps[:, j] = gap
-    assert np.array_equal(codes, reference_codes(cover, gaps, theirs))
+        gaps[:, j] = reference_positions(ladder, x[:, j], theirs) - 1
+    assert np.array_equal(codes, reference_codes(plan.cover, gaps, theirs))
     assert ours.random() == theirs.random()
 
 
