@@ -1,11 +1,12 @@
 """Dyadic covers of the integer gap grid.
 
 After rank reduction every coordinate is a gap index: each axis has m gaps
-(m a power of two), numbered 0..m-1; any gap outside them (-1 in the exact
-forms) is outside the span. Per axis, level l (1..log2 m) splits the m gaps
-into 2^l aligned runs of m / 2^l gaps each; the covering family is the set
-of products of one run per axis. Every gap lies in exactly one run per
-level, so every in-span cell lies in exactly log2(m)^d family rectangles.
+(m a power of two), numbered 0..m-1; any gap outside them (-1 below the
+grid, m or more above it) is outside the span, in the sampler and the exact
+forms alike. Per axis, level l (1..log2 m) splits the m gaps into 2^l
+aligned runs of m / 2^l gaps each; the covering family is the set of
+products of one run per axis. Every gap lies in exactly one run per level,
+so every in-span cell lies in exactly log2(m)^d family rectangles.
 
 A family rectangle has one id, an integer code. On each axis, run t of level
 l has the heap number 2^l + t, an axis id in 2..2m-1 (0 and 1 name no run).
@@ -102,10 +103,10 @@ class CoverFamily:
 
     def containing_ids(self, gaps: Sequence[int]) -> list[int]:
         """The codes of all family rectangles containing a cell (levels^d of
-        them); none when any axis is outside the span (-1)."""
+        them); none when any axis is outside the span, a gap outside 0..m-1."""
         if len(gaps) != self.dim:
             raise InvalidInput("gap tuple has wrong number of axes")
-        if min(gaps) < 0:
+        if min(gaps) < 0 or max(gaps) >= self.m:
             return []
         return self._codes([self.containing_intervals(gap) for gap in gaps])
 
@@ -128,8 +129,9 @@ class CoverFamily:
 
         ``mass`` maps gap tuples to their mass. Each cell inside the span
         spreads its mass uniformly over the levels^d rectangles containing
-        it; a tuple with -1 on any axis goes to EMPTY_CODE. For desk-scale
-        exact checks of the codes ``sample_ids_encoded`` draws.
+        it; a tuple with any gap outside 0..m-1 goes to EMPTY_CODE, as in
+        ``sample_ids_encoded``. For desk-scale exact checks of the codes
+        that method draws.
         """
         out: dict[int, float] = {}
         share = 1.0 / self.rects_per_point

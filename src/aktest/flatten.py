@@ -303,8 +303,14 @@ def flatten_closeness(
     m0 = max(1, min(s // 100, math.ceil(cap)))
     n_mix = int(rng.poisson(m0))
     n_from_p = int(rng.binomial(n_mix, 0.5))  # Bin(0, 1/2) draws nothing
-    sides = ((p_access, n_from_p), (q_access, n_mix - n_from_p))
-    split = build_split_map(np.concatenate([_draw_codes(a, n, rng) for a, n in sides]))
+    split = build_split_map(
+        np.concatenate(
+            [
+                _draw_codes(p_access, n_from_p, rng),
+                _draw_codes(q_access, n_mix - n_from_p, rng),
+            ]
+        )
+    )
     verdict = robust_l2_test(
         p_access,
         q_access,

@@ -28,7 +28,8 @@ are one whole-array call each, and the tie slots, drawn block by block,
 continue numpy's array-bound draw as one whole-array call would. The
 deterministic work (rank-table lookup, exact compares, code arithmetic)
 runs over blocks of ``_BLOCK`` samples, whose temporaries stay in a core's
-L2 cache. The cover alone marks gaps outside its span empty.
+L2 cache; only the shift from rank positions to gaps is one in-place pass
+over each gap column. The cover alone marks gaps outside its span empty.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ class LadderLookup:
         # One entry past the top value: NaN, which no query passes or equals.
         self._values = np.append(values, np.nan)
         self._left = np.append(left, len(ladder)).astype(np.int32)
-        self._slots = ties.astype(np.uint64) + 1  # a tied query's slot count
+        self._slots = (ties + 1).astype(np.int32)  # a tied query's slot count
         self._rank = None
         buckets = min(1 << (16 * len(values)).bit_length(), self._MAX_BUCKETS)
         lo = values[0]
@@ -284,9 +285,9 @@ class LadderLookup:
 
         The counts and the slots are found one block of queries at a time.
         numpy draws nothing for a bound of 1, so only the queries with
-        ties > 0 draw, through ``_bounded_int32``: the stream is that of
-        one whole-array ``rng.integers(0, ties + 1, dtype=np.int32)`` call,
-        and a block without ties neither draws nor reads the generator state.
+        ties > 0 draw, and a block without ties draws nothing; numpy's
+        array-bound draws, made block by block, continue the stream of one
+        whole-array ``rng.integers(0, ties + 1, dtype=np.int32)`` call.
         """
         if out is None:
             out = np.empty(len(x), dtype=np.int32)
@@ -294,31 +295,10 @@ class LadderLookup:
             block = slice(s, s + _BLOCK)
             _, walk, i = self._count(x[block], out[block])
             hit = np.flatnonzero(self._values[i] == x[block][walk])
-            if len(hit):
+            if len(hit):  # an empty array-bound draw still costs about 10 us
                 at = hit if isinstance(walk, slice) else walk[hit]
-                out[s + at] += _bounded_int32(rng, self._slots[i[hit]])
+                out[s + at] += rng.integers(0, self._slots[i[hit]], dtype=np.int32)
         return out
-
-
-def _bounded_int32(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
-    """``rng.integers(0, bounds, dtype=np.int32)`` bit for bit, for uint64
-    bounds in [2, 2^31], also in the generator state it leaves.
-
-    numpy draws each such slot with Lemire's method: a 32-bit word w gives
-    (w b) >> 32, and a word with (w b) mod 2^32 < (2^32 - b) mod b is
-    rejected for the next one. This draws one word per bound; if one is
-    rejected (below 7 / 2^32 each at bounds up to 8), it rewinds the
-    generator and makes numpy's call. That call continues the same stream,
-    so this fast path exists for speed alone: numpy's call costs more.
-    """
-    state = rng.bit_generator.state
-    product = rng.integers(0, 2**32, size=len(bounds), dtype=np.uint32) * bounds
-    low = product.astype(np.uint32)
-    maybe = np.flatnonzero(low < bounds)  # (2^32 - b) mod b < b: the rest pass
-    if (low[maybe] < (2**32 - bounds[maybe]) % bounds[maybe]).any():
-        rng.bit_generator.state = state
-        return rng.integers(0, bounds, dtype=np.int32)
-    return (product >> 32).astype(np.int32)
 
 
 def _choice_index(masses) -> Callable[[np.ndarray], np.ndarray]:

@@ -116,8 +116,10 @@ def test_containing_ids_count_is_levels_to_the_d():
 def test_containing_ids_empty_outside_span():
     assert cover_1d().containing_ids((-1,)) == []
     assert CoverFamily(4, 2).containing_ids((0, -1)) == []
-    with pytest.raises(InvalidInput):
-        cover_1d().containing_ids((4,))  # past the last gap
+    assert cover_1d().containing_ids((4,)) == []  # past the last gap
+    assert CoverFamily(4, 2).containing_ids((9, 0)) == []
+    # the exact law sends above-span rows to EMPTY_CODE, as the sampler does
+    assert cover_1d().induced_distribution({(4,): 1.0}) == {EMPTY_CODE: 1.0}
 
 
 def test_decompose_family_rect_is_itself():

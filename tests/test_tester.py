@@ -31,7 +31,6 @@ from aktest.tester import (
     _CONSTANT_KEYS,
     LadderLookup,
     RunPlan,
-    _bounded_int32,
     _choice_index,
     _padded_size,
     prepare,
@@ -581,10 +580,11 @@ BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.rando
 @pytest.mark.parametrize("pending", [False, True])
 @pytest.mark.parametrize("high", [11, 2**31 + 1])
 def test_bounded_int32_is_numpys_array_bound_draw(bit_generator, pending, high):
-    # Bounds up to 2^31 reject up to a third of the words; bounds of 2 to
-    # 10 hardly ever do. Values, and the generator's next draws, must equal
-    # numpy's whole-array call, also with a half word pending, for empty
-    # draws, and for calls split into chunks.
+    # LadderLookup.positions draws its tie slots one block at a time with
+    # numpy's bounded int32 draw. Bounds up to 2^31 reject up to a third of
+    # the words; bounds of 2 to 10 hardly ever do. Values, and the
+    # generator's next draws, of chunked calls must equal one whole-array
+    # call, also with a half word pending and for empty chunks.
     for seed in range(4):
         bounds = np.random.default_rng(seed).integers(2, high, size=2000, dtype=np.uint64)
         ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
@@ -592,7 +592,7 @@ def test_bounded_int32_is_numpys_array_bound_draw(bit_generator, pending, high):
             for rng in (ours, theirs):
                 rng.integers(0, 5, size=3)
         chunks = np.split(bounds, [0, 1, 700, 700, 1999])
-        drawn = np.concatenate([_bounded_int32(ours, chunk) for chunk in chunks])
+        drawn = np.concatenate([ours.integers(0, c, dtype=np.int32) for c in chunks])
         assert drawn.dtype == np.int32
         assert np.array_equal(drawn, theirs.integers(0, bounds, dtype=np.int32))
         assert np.array_equal(ours.integers(0, 2**63, size=5), theirs.integers(0, 2**63, size=5))
@@ -602,15 +602,17 @@ def test_bounded_int32_is_numpys_array_bound_draw(bit_generator, pending, high):
 def test_bounded_int32_rejects_like_numpy():
     # 2^31 - 2^29 + 1 rejects a word with probability about 1/4 ...
     bounds = np.full(3000, 2**31 - 2**29 + 1, dtype=np.uint64)
-    ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
-    assert np.array_equal(_bounded_int32(ours, bounds), theirs.integers(0, bounds, dtype=np.int32))
-    assert ours.bit_generator.state == theirs.bit_generator.state
-    # ... and so the words drawn exceed the bounds by the rejections
     words = np.random.default_rng(1).integers(0, 2**32, size=3000, dtype=np.uint32)
     low = (words * bounds) & 0xFFFFFFFF
     assert (low < (2**32 - bounds) % bounds).sum() > 500
+    # ... and a block draw that rejects still continues one whole-array call
+    ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
+    drawn = [ours.integers(0, c, dtype=np.int32) for c in np.split(bounds, [1234])]
+    assert np.array_equal(np.concatenate(drawn), theirs.integers(0, bounds, dtype=np.int32))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # a tie-free block draws nothing and leaves the state as it was
     empty = np.random.default_rng(1)
-    assert _bounded_int32(empty, bounds[:0]).shape == (0,)
+    assert empty.integers(0, bounds[:0], dtype=np.int32).shape == (0,)
     assert empty.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
