@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import itertools
 import json
 import math
@@ -32,10 +33,32 @@ CSV_HEADER = (
     "schema,trial,seed,family,k,d,eps,m,verdict,statistic,threshold,"
     "samples_used,error,wall_ms"
 )
+# the fields of an `aktest test` report taken from the result, in order
+REPORT_FIELDS = (
+    "decision",
+    "statistic",
+    "threshold",
+    "z_values",
+    "kappa",
+    "samples_used",
+    "budget",
+    "batch_size",
+    "grid_values",
+    "flatten_sets",
+)
+# experiment sweep axes, family outermost: what each value must be, and
+# the default value
+SWEEP_AXES = {
+    "family": (FAMILY_NAMES, "uniform-equal"),
+    "k": (int, 8),
+    "eps": (float, 1.0),
+    "budget_multiplier": (float, 1.0),
+}
 
 
-def _usage(err: Exception) -> click.UsageError:
-    return click.UsageError(str(err))
+def _config_maker(mode: str):
+    """The TesterConfig constructor of a constants mode, paper or practical."""
+    return TesterConfig.practical if mode == "practical" else TesterConfig.paper
 
 
 @click.group()
@@ -75,34 +98,15 @@ def cmd_test(p_spec, q_spec, k, eps, seed, mode, constants):
         if constants is not None:
             with open(constants, "r", encoding="utf-8") as fh:
                 overrides = check_constants(json.load(fh))
-        make = TesterConfig.practical if mode == "practical" else TesterConfig.paper
-        config = make(k, p.dim, eps, **overrides)
+        config = _config_maker(mode)(k, p.dim, eps, **overrides)
         result = ak_closeness_test(
             p.sample, q.sample, config, np.random.default_rng(seed)
         )
-    except (InvalidInput, json.JSONDecodeError) as err:
-        raise _usage(err) from err
-    click.echo(
-        json.dumps(
-            {
-                "decision": result.decision,
-                "statistic": result.statistic,
-                "threshold": result.threshold,
-                "z_values": list(result.z_values),
-                "kappa": result.kappa,
-                "samples_used": result.samples_used,
-                "budget": result.budget,
-                "batch_size": result.batch_size,
-                "grid_values": result.grid_values,
-                "flatten_sets": result.flatten_sets,
-                "k": k,
-                "d": p.dim,
-                "eps": eps,
-                "seed": seed,
-                "mode": mode,
-            }
-        )
-    )
+    except (InvalidInput, json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise click.UsageError(str(err)) from err
+    report = {name: getattr(result, name) for name in REPORT_FIELDS}
+    report.update(k=k, d=p.dim, eps=eps, seed=seed, mode=mode)
+    click.echo(json.dumps(report))
     sys.exit(0 if result.accept else 1)
 
 
@@ -117,7 +121,7 @@ def cmd_oracle(p_spec, q_spec, k):
         q = load_distribution_spec(q_spec)
         value, witness = ak_distance_bruteforce(p, q, k)
     except InvalidInput as err:
-        raise _usage(err) from err
+        raise click.UsageError(str(err)) from err
     click.echo(
         json.dumps(
             {
@@ -150,18 +154,21 @@ def cmd_gen_hard(k, m, eps, case, seed, out, cells_per_square):
         p, q, meta = instance.to_distributions(cells_per_square)
         bound, discrepancy, witness = instance.ak_lower_bound()
     except InvalidInput as err:
-        raise _usage(err) from err
+        raise click.UsageError(str(err)) from err
     meta["seed"] = seed
     meta["ak_lower_bound"] = bound
     meta["ak_discrepancy"] = discrepancy
     meta["witness_rectangles"] = len(witness)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_distribution_spec(p, out_dir / "p.json", normalized=False)
-    save_distribution_spec(q, out_dir / "q.json", normalized=False)
-    with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_distribution_spec(p, out_dir / "p.json", normalized=False)
+        save_distribution_spec(q, out_dir / "q.json", normalized=False)
+        with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as err:
+        raise click.UsageError(str(err)) from err
     click.echo(
         json.dumps(
             {
@@ -173,10 +180,6 @@ def cmd_gen_hard(k, m, eps, case, seed, out, cells_per_square):
             }
         )
     )
-
-
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 def _number(key: str, value, kind: type):
@@ -206,27 +209,34 @@ def check_constants(profile) -> dict:
     return {key: _number(f"constant {key}", v, float) for key, v in profile.items()}
 
 
-def _run_trial(task: dict) -> dict:
-    """One experiment trial; module-level so worker processes can load it."""
-    rng = np.random.default_rng((task["seed"], task["trial"]))
+def _axis_values(spec: dict, axis: str) -> list:
+    """A sweep axis's values, a scalar or a list in the config, each a
+    family name, an int or a float as SWEEP_AXES says, or a usage error."""
+    kind, default = SWEEP_AXES[axis]
+    values = spec.get(axis, default)
+    values = values if isinstance(values, list) else [values]
+    if kind is not FAMILY_NAMES:
+        return [_number(axis, value, kind) for value in values]
+    unknown = [value for value in values if value not in FAMILY_NAMES]
+    if unknown:
+        raise InvalidInput(
+            f"unknown family {unknown[0]!r}; known: {', '.join(FAMILY_NAMES)}"
+        )
+    return values
+
+
+def _run_trial(seed: int, mode: str, constants: dict, trial: int, cell: dict) -> dict:
+    """One trial of a sweep cell; module-level so worker processes can load it."""
+    rng = np.random.default_rng((seed, trial))
     row = dict.fromkeys(CSV_HEADER.split(","), "")
-    row.update(
-        {key: task[key] for key in ("schema", "trial", "seed", "family", "k", "eps")},
-        verdict="error",
-    )
+    row.update(schema=RESULTS_SCHEMA, trial=trial, seed=seed, verdict="error")
+    row.update((axis, value) for axis, value in cell.items() if axis in row)
     start = time.perf_counter()
     try:
-        instance = make_instance(task["family"], task["k"], task["eps"], rng)
+        instance = make_instance(cell["family"], cell["k"], cell["eps"], rng)
         row["d"] = instance.d
-        mode = task["mode"]
-        make = TesterConfig.practical if mode == "practical" else TesterConfig.paper
-        config = make(
-            task["k"],
-            instance.d,
-            task["eps"],
-            budget_multiplier=task["budget_multiplier"],
-            **task["constants"],
-        )
+        overrides = {**constants, "budget_multiplier": cell["budget_multiplier"]}
+        config = _config_maker(mode)(cell["k"], instance.d, cell["eps"], **overrides)
         result = ak_closeness_test(instance.p_access, instance.q_access, config, rng)
         row.update(
             m=result.budget,
@@ -265,17 +275,7 @@ def cmd_experiment(config_file, out, trials, jobs):
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise InvalidInput("experiment config must be a JSON object")
-        known = {
-            "family",
-            "k",
-            "eps",
-            "budget_multiplier",
-            "trials",
-            "seed",
-            "mode",
-            "constants",
-            "out",
-        }
+        known = {*SWEEP_AXES, "trials", "seed", "mode", "constants", "out"}
         unknown = set(spec) - known
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
@@ -310,52 +310,21 @@ def cmd_experiment(config_file, out, trials, jobs):
         # that they are usage errors and a bad k stays its own cell's error row
         mode = spec.get("mode", "practical")
         TesterConfig(k=2, d=1, eps=1.0, mode=mode, **constants)
-        combos = list(
-            itertools.product(
-                _as_list(spec.get("family", "uniform-equal")),
-                [_number("k", v, int) for v in _as_list(spec.get("k", 8))],
-                [_number("eps", v, float) for v in _as_list(spec.get("eps", 1.0))],
-                [
-                    _number("budget_multiplier", v, float)
-                    for v in _as_list(spec.get("budget_multiplier", 1.0))
-                ],
-            )
-        )
-        if not combos:
+        axes = {axis: _axis_values(spec, axis) for axis in SWEEP_AXES}
+        cells = [dict(zip(axes, cell)) for cell in itertools.product(*axes.values())]
+        if not cells:
             raise InvalidInput("every sweep axis needs at least one value")
-        for family, *_ in combos:
-            if family not in FAMILY_NAMES:
-                raise InvalidInput(
-                    f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}"
-                )
-    except (InvalidInput, json.JSONDecodeError, OSError) as err:
-        raise _usage(err) from err
+    except (InvalidInput, json.JSONDecodeError, UnicodeDecodeError, OSError) as err:
+        raise click.UsageError(str(err)) from err
 
-    tasks = []
-    trial = 0
-    for family, k, eps, mult in combos:
-        for _ in range(n_trials):
-            tasks.append(
-                {
-                    "schema": RESULTS_SCHEMA,
-                    "trial": trial,
-                    "seed": seed,
-                    "family": family,
-                    "k": k,
-                    "eps": eps,
-                    "budget_multiplier": mult,
-                    "mode": mode,
-                    "constants": constants,
-                }
-            )
-            trial += 1
-
+    # trials n_trials * i .. n_trials * (i + 1) - 1 run cell i
+    run = functools.partial(_run_trial, seed, mode, constants)
+    trial_cells = [cell for cell in cells for _ in range(n_trials)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_trial, tasks))
+            rows = list(pool.map(run, range(len(trial_cells)), trial_cells))
     else:
-        rows = [_run_trial(t) for t in tasks]
-    rows.sort(key=lambda r: r["trial"])
+        rows = list(map(run, range(len(trial_cells)), trial_cells))
 
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -374,26 +343,24 @@ def cmd_experiment(config_file, out, trials, jobs):
             )
             fh.write("\n")
     except OSError as err:
-        raise _usage(err) from err
+        raise click.UsageError(str(err)) from err
 
-    failures = 0
-    start = 0
-    for family, k, eps, mult in combos:
-        block = rows[start : start + n_trials]
-        start += n_trials
+    for i, cell in enumerate(cells):
+        block = rows[i * n_trials : (i + 1) * n_trials]
         accepts = sum(r["verdict"] == "accept" for r in block)
         errors = sum(r["verdict"] == "error" for r in block)
-        failures += errors
         rate = accepts / n_trials
         half = 1.96 * math.sqrt(max(rate * (1 - rate), 1e-12) / n_trials)
         samples = [r["samples_used"] for r in block if r["verdict"] != "error"]
         mean_samples = sum(samples) / len(samples) if samples else 0.0
         click.echo(
-            f"{family} k={k} eps={eps} x{mult}: accept {accepts}/{n_trials} "
+            f"{cell['family']} k={cell['k']} eps={cell['eps']}"
+            f" x{cell['budget_multiplier']}: accept {accepts}/{n_trials} "
             f"({rate:.2f} +- {half:.2f}), mean samples {mean_samples:.0f}"
             + (f", errors {errors}" if errors else "")
         )
     click.echo(f"rows appended to {out_path}")
+    failures = sum(r["verdict"] == "error" for r in rows)
     if failures:
         click.echo(f"warning: {failures} error rows", err=True)
         sys.exit(1)

@@ -186,17 +186,26 @@ class CoverFamily:
     ) -> np.ndarray:
         """Vectorized induced outcomes from per-axis gap indices.
 
-        gaps: (n, d) int array; any gap outside 0..m-1 puts its axis
-        outside the span. Returns (n,) codes of heap-numbered axis ids,
-        EMPTY_CODE for any row with an outside axis: int32 while the code
-        space fits 31 bits, dim * bit_length(2m - 2) <= 31, else int64. One
-        uniform level draw per axis per row, consumed regardless of
-        emptiness so the rng stream depends only on n. The int32 levels are
-        the int64 draw's stream; in-span gap + m must fit the gaps' dtype.
+        gaps: (n, d) integer array whose dtype holds 2m - 1, the largest
+        in-span gap + m; any gap outside 0..m-1 puts its axis outside the
+        span. Returns (n,) codes of heap-numbered axis ids, EMPTY_CODE for
+        any row with an outside axis: int32 while the code space fits 31
+        bits, dim * bit_length(2m - 2) <= 31, else int64. One uniform level
+        draw per axis per row, consumed regardless of emptiness so the rng
+        stream depends only on n; a refused call draws nothing. The int32
+        levels are the int64 draw's stream.
         """
         gaps = np.asarray(gaps)
         if gaps.ndim != 2 or gaps.shape[1] != self.dim:
             raise InvalidInput("gaps must have shape (n, d)")
+        if not (
+            np.issubdtype(gaps.dtype, np.integer)
+            and np.iinfo(gaps.dtype).max >= 2 * self.m - 1
+        ):
+            raise InvalidInput(
+                f"gaps must be integers of a dtype holding {2 * self.m - 1},"
+                f" got {gaps.dtype}"
+            )
         n = gaps.shape[0]
         levels = rng.integers(1, self.levels + 1, size=(n, self.dim), dtype=np.int32)
         digit = self.per_axis_count.bit_length()  # base 2m = 2^digit

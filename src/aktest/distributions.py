@@ -158,7 +158,7 @@ def load_distribution_spec(path: str) -> DiscreteGridDistribution:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read distribution spec {path}: {exc}") from exc
     try:
         dim = _json_int("dim", raw["dim"])

@@ -512,3 +512,59 @@ def test_verify_runs_a_named_suite(runner):
 
 def test_verify_rejects_unknown_suites(runner):
     assert runner.invoke(main, ["verify", "nonesuch"]).exit_code == 2
+
+
+def test_experiment_writes_cells_in_product_order(runner, tmp_path):
+    # family is the outermost axis: trials 0-1, 2-3, 4-5 and 6-7 are the
+    # cells (uniform-equal, x1), (uniform-equal, x4), (hist-far, x1), (hist-far, x4)
+    config = experiment_config(tmp_path, budget_multiplier=[1.0, 4.0])
+    out = tmp_path / "results.csv"
+    result = runner.invoke(main, ["experiment", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["trial"]) for row in rows] == list(range(8))
+    families = ["uniform-equal"] * 4 + ["hist-far"] * 4
+    assert [row["family"] for row in rows] == families
+    budgets = [int(row["m"]) for row in rows]
+    small, large = budgets[0], budgets[2]
+    assert small < large
+    assert budgets == [small, small, large, large] * 2
+    labels = [
+        (family, f"x{mult}")
+        for family in ("uniform-equal", "hist-far")
+        for mult in (1.0, 4.0)
+    ]
+    summary = result.output.splitlines()[:4]
+    for line, (family, mult) in zip(summary, labels):
+        assert line.startswith(f"{family} k=4 eps=1.0 {mult}: accept ")
+
+
+def test_gen_hard_refuses_an_unwritable_out(runner, tmp_path):
+    # exit 1 would read as a reject verdict
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    result = runner.invoke(
+        main,
+        ["gen-hard", "--k", "8", "--m", "1", "--eps", "1.0", "--case", "far",
+         "--out", str(blocker / "x")],
+    )
+    assert result.exit_code == 2, result.output
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("which", ["config", "spec", "constants"])
+def test_non_utf8_input_files_are_usage_errors(runner, tmp_path, which):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    p_path, q_path = write_four_atoms(tmp_path)
+    if which == "config":
+        command = ["experiment", str(bad), "--out", str(tmp_path / "results.csv")]
+    elif which == "spec":
+        command = ["test", str(p_path), str(bad), "--k", "2", "--eps", "1.0"]
+    else:
+        command = ["test", str(p_path), str(q_path), "--k", "2", "--eps", "1.0",
+                   "--constants", str(bad)]
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "results.csv").exists()

@@ -325,3 +325,21 @@ def test_code_cap_is_62_bits():
     assert cover.dim * cover.per_axis_count.bit_length() == 62
     with pytest.raises(InvalidInput):
         cover_at(7, 256)  # 7 axes of 510 intervals need 63 bits
+
+
+@pytest.mark.parametrize(
+    "m, dtype",
+    [(128, np.int8), (2**15, np.int16), (4, np.float64), (4, np.bool_)],
+)
+def test_sample_ids_encoded_refuses_gaps_of_a_narrow_or_non_integer_dtype(m, dtype):
+    # gap + m must fit the dtype; float gaps fail numpy's shift and bool
+    # gaps would be read as gaps 0 and 1
+    cover = CoverFamily(m, 1)
+    rng = np.random.default_rng(41)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInput, match="dtype"):
+        cover.sample_ids_encoded(np.zeros((3, 1), dtype=dtype), rng)
+    assert rng.bit_generator.state == state
+    # the widest in-span sum fits one step up
+    wider = np.zeros((3, 1), dtype=np.int16 if m == 128 else np.int32)
+    assert len(cover.sample_ids_encoded(wider, rng)) == 3
