@@ -54,10 +54,8 @@ from .tester import (
     ak_closeness_test,
     consistency_satisfied,
     flatten_set_count,
-    hypothesis_equivalence_test,
     kappa,
     sample_budget,
-    tv_histogram_test,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +90,6 @@ __all__ = [
     "flatten_set_count",
     "gap_ratio_tv",
     "gen_hard_instance",
-    "hypothesis_equivalence_test",
     "is_generic",
     "kappa",
     "l2_collision_statistic",
@@ -104,5 +101,4 @@ __all__ = [
     "sample_budget",
     "sample_monotone_map",
     "save_distribution_spec",
-    "tv_histogram_test",
 ]

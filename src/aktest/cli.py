@@ -291,6 +291,8 @@ def cmd_experiment(config_file, out, trials, jobs):
         if not isinstance(spec.get("out", ""), str):
             raise InvalidInput(f"out must be a string path, got {spec['out']!r}")
         out_path = Path(out if out is not None else spec.get("out", "results.csv"))
+        if "\0" in str(out_path):  # exists() swallows the ValueError open() raises
+            raise InvalidInput(f"out path {str(out_path)!r} holds a NUL byte")
         is_new = not out_path.exists() or out_path.stat().st_size == 0
         if not is_new:
             with open(out_path, "r", encoding="utf-8", newline="") as fh:

@@ -10,16 +10,13 @@ at test time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .covering import _BLOCK
 from .errors import InvalidInput
 from .hardness import gen_hard_instance
-from .tester import _choice_index
-
-PointAccess = Callable[[int, np.random.Generator], np.ndarray]
+from .tester import PointAccess, _choice_index
 
 _UNIFORM_SIDE = 32
 

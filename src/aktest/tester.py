@@ -1,4 +1,4 @@
-"""The end-to-end A_k closeness tester and its two reduction front-ends.
+"""The end-to-end A_k closeness tester.
 
 Pipeline: ``prepare`` -> ``flatten_closeness`` -> ``robust_l2_test``.
 ``prepare`` draws a Poissonized batch from the even mixture of the two
@@ -436,67 +436,4 @@ def ak_closeness_test(
         batch_size=plan.batch_size,
         grid_values=plan.cover.m + 1,
         flatten_sets=plan.s,
-    )
-
-
-def tv_histogram_test(
-    p_access: PointAccess,
-    q_access: PointAccess,
-    config: TesterConfig,
-    rng: np.random.Generator,
-) -> AkTestResult:
-    """Total-variation closeness for k-histograms on a shared partition.
-
-    When both distributions are piecewise constant over one unknown
-    partition into k rectangles, d_TV = half the A_k distance, so testing
-    at accuracy 2 eps_tv decides d_TV <= 0 versus >= eps_tv. config.eps is
-    read as eps_tv. Values above 1 are vacuous for a total variation, but
-    the delegate still runs at the capped accuracy 2.
-    """
-    inner = replace(config, eps=min(2.0 * config.eps, 2.0))
-    return ak_closeness_test(p_access, q_access, inner, rng)
-
-
-LabeledPointAccess = Callable[
-    [int, np.random.Generator], tuple[np.ndarray, np.ndarray]
-]
-
-
-def _label_pushforward(h_access: LabeledPointAccess, d: int) -> PointAccess:
-    sentinel = -1.0
-
-    def access(n: int, rng: np.random.Generator) -> np.ndarray:
-        x, labels = h_access(n, rng)
-        x = np.asarray(x, dtype=float)
-        labels = np.asarray(labels)
-        if x.shape != (n, d) or labels.shape != (n,):
-            raise InvalidInput(
-                f"labeled access must return ((n, {d}), (n,)) arrays, got "
-                f"{x.shape} and {labels.shape}"
-            )
-        return np.where(labels[:, None].astype(bool), x, sentinel)
-
-    return access
-
-
-def hypothesis_equivalence_test(
-    h1_access: LabeledPointAccess,
-    h2_access: LabeledPointAccess,
-    config: TesterConfig,
-    rng: np.random.Generator,
-) -> AkTestResult:
-    """Equivalence of two k-rectangle-union hypotheses from labeled draws.
-
-    Each access yields (x, label) with x uniform on the cube; positive
-    points pass through, negative ones collapse to the sentinel at
-    (-1, ..., -1). Disagreement mass eps between the hypotheses leaves an
-    A_k gap of at least eps/2 between the pushforwards, so the delegate
-    runs at accuracy config.eps / 2.
-    """
-    inner = replace(config, eps=config.eps / 2.0)
-    return ak_closeness_test(
-        _label_pushforward(h1_access, config.d),
-        _label_pushforward(h2_access, config.d),
-        inner,
-        rng,
     )

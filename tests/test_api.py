@@ -15,6 +15,7 @@ REMOVED = (
     "TvEstimate",
     "build_grid",
     "discrepancy_density",
+    "hypothesis_equivalence_test",
     "load_practical_constants",
     "mixture_half",
     "obfuscation_tv",
@@ -22,6 +23,7 @@ REMOVED = (
     "random_pair_discrepancy",
     "rank_transform",
     "sample_poisson",
+    "tv_histogram_test",
     "union_volume",
 )
 

@@ -424,6 +424,17 @@ def test_experiment_refuses_a_negative_seed(runner, tmp_path):
     assert not out.exists()
 
 
+def test_experiment_refuses_a_nul_byte_out_path(runner, tmp_path, monkeypatch):
+    # open() raises ValueError on such a path, so it is refused before any trial
+    config = experiment_config(tmp_path, out="a\u0000b", trials=1, k=8)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("aktest.cli._run_trial", lambda *a: pytest.fail("trial ran"))
+    result = runner.invoke(main, ["experiment", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "NUL byte" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.json"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_experiment_refuses_jobs_below_one(runner, tmp_path, jobs):
     config = experiment_config(tmp_path)

@@ -17,11 +17,9 @@ from aktest import (
     ak_closeness_test,
     consistency_satisfied,
     flatten_set_count,
-    hypothesis_equivalence_test,
     kappa,
     make_instance,
     sample_budget,
-    tv_histogram_test,
 )
 from aktest.cli import check_constants
 from aktest.covering import _BLOCK, CoverFamily
@@ -294,51 +292,6 @@ def test_verdict_invariant_under_monotone_reparametrization():
         plain = ak_closeness_test(uniform_access(2), uniform_access(2), config, rng1)
         mapped = ak_closeness_test(mapped_access(2), mapped_access(2), config, rng2)
         assert mapped == plain  # bit-for-bit, statistic included
-
-
-def test_tv_histogram_doubles_the_accuracy():
-    tv_rng, ak_rng = np.random.default_rng(3), np.random.default_rng(3)
-    via_tv = tv_histogram_test(
-        uniform_access(), uniform_access(), cheap_config(eps=0.4), tv_rng
-    )
-    direct = ak_closeness_test(
-        uniform_access(), uniform_access(), cheap_config(eps=0.8), ak_rng
-    )
-    assert via_tv == direct
-
-
-def test_tv_histogram_caps_vacuous_accuracies():
-    tv_rng, ak_rng = np.random.default_rng(3), np.random.default_rng(3)
-    capped = tv_histogram_test(
-        uniform_access(), uniform_access(), cheap_config(eps=1.5), tv_rng
-    )
-    direct = ak_closeness_test(
-        uniform_access(), uniform_access(), cheap_config(eps=2.0), ak_rng
-    )
-    assert capped == direct
-
-
-def test_hypothesis_equivalence_accepts_identical_hypotheses():
-    def labeled(n, rng):
-        x = rng.random((n, 2))
-        return x, (x[:, 0] < 0.5).astype(int)
-
-    config = cheap_config(k=4, d=2, eps=1.0)
-    result = hypothesis_equivalence_test(
-        labeled, labeled, config, np.random.default_rng(9)
-    )
-    # the delegate runs at accuracy eps / 2
-    assert result.kappa == kappa(cheap_config(k=4, d=2, eps=0.5), result.budget)
-    assert result.accept
-
-
-def test_hypothesis_equivalence_checks_label_shapes():
-    def bad(n, rng):
-        return rng.random((n, 2)), np.zeros((n, 2))
-
-    config = cheap_config(k=4, d=2, eps=1.0)
-    with pytest.raises(InvalidInput, match="labeled access"):
-        hypothesis_equivalence_test(bad, bad, config, np.random.default_rng(9))
 
 
 def reference_positions(ladder, x, rng):
@@ -726,6 +679,31 @@ def test_stages_compose_to_the_tester(pin):
     [split], [l2] = splits, l2_verdicts
     assert result.samples_used == plan.batch_size + split.flattening_size + l2.samples_used
     assert result.samples_used == plan.batch_size + verdict.samples_used
+
+
+@pytest.mark.parametrize("s_multiplier", [1000.0, 4000.0], ids=["m0-capped", "m0-free"])
+def test_samples_used_matches_its_closed_form(s_multiplier):
+    # samples_used sums Poisson draws: Poi(m) for the batch, Poi(m0) for the
+    # flattening multiset and Poi(m_l2) per side per repeat run. The l2
+    # draws minus their means are a martingale, so the early stop leaves the
+    # sum's mean at 0 and its variance at the mean of the draws' means.
+    config = TesterConfig.practical(k=4, d=2, eps=1.0, s_multiplier=s_multiplier)
+    m = sample_budget(config)
+    kap = kappa(config, m)
+    s = flatten_set_count(config, m)
+    cap = math.ceil(aktest.flatten._FLATTEN_CONST * kap ** (-2.0 / 3.0))
+    m0 = max(1, min(s // 100, cap))
+    m_l2 = math.ceil(aktest.flatten._ROBUST_CONST * math.sqrt(40.0 / m0) / (kap / 3.0))
+    if m0 == cap:  # the README's m_l2 ~ 53.7 kappa^(-2/3)
+        assert m_l2 == pytest.approx(53.7 * kap ** (-2.0 / 3.0), rel=0.01)
+    deviations, variance = [], 0
+    for seed in range(20):
+        rng = np.random.default_rng((17, seed))
+        result = ak_closeness_test(uniform_access(2), uniform_access(2), config, rng)
+        means = 2 * len(result.z_values) * m_l2 + m + m0
+        deviations.append(result.samples_used - means)
+        variance += means
+    assert abs(np.mean(deviations)) <= 4 * math.sqrt(variance) / len(deviations)
 
 
 def test_prepare_refuses_before_any_fresh_draw():
