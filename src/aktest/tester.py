@@ -23,13 +23,17 @@ Per fresh sample of a d-dimensional test, the full-length arrays are:
 Every int32 draw is the int64 draw's stream: numpy draws a bound below
 2^32 with one 32-bit word per try whatever the output dtype. A batch of at
 most ``_BATCH_CAP`` points keeps every rank, gap and gap + m below 2^31.
-The stream does not depend on blocking: the points and the cover levels
-are one whole-array call each, and the tie slots, drawn block by block,
-continue numpy's array-bound draw as one whole-array call would. The
-deterministic work (rank-table lookup, exact compares, code arithmetic)
-runs over blocks of ``_BLOCK`` samples, whose temporaries stay in a core's
-L2 cache; only the shift from rank positions to gaps is one in-place pass
-over each gap column. The cover alone marks gaps outside its span empty.
+A query tied with t batch values takes slot floor(u (t + 1)) of one float
+uniform u: each slot's probability is within a relative (t + 1) 2^-53 of
+1 / (t + 1), exact when t + 1 is a power of two, and no slot reaches
+t + 1 (LadderLookup.positions). The stream does not depend on blocking:
+the points and the cover levels are one whole-array call each, and the
+tie slots, drawn block by block for the tied queries only, continue one
+whole-array ``rng.random`` call. The deterministic work (rank-table
+lookup, exact compares, code arithmetic) runs over blocks of ``_BLOCK``
+samples, whose temporaries stay in a core's L2 cache; only the shift from
+rank positions to gaps is one in-place pass over each gap column. The
+cover alone marks gaps outside its span empty.
 """
 
 from __future__ import annotations
@@ -94,8 +98,15 @@ class TesterConfig:
             v = getattr(self, name)
             if name == "alpha" and v is None:
                 continue  # the mode's default exponent
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise InvalidInput(f"{name} must be a positive real, got {v!r}")
+            try:
+                v = float(v)
+            except OverflowError:  # an int beyond float range
+                v = math.inf if v > 0 else -math.inf
             if not (math.isfinite(v) and v > 0):
                 raise InvalidInput(f"{name} must be a positive real, got {v}")
+            object.__setattr__(self, name, v)
 
     @property
     def alpha_d(self) -> float:
@@ -274,30 +285,50 @@ class LadderLookup:
     def positions(
         self, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Rank positions: the strictly-smaller count plus a uniform draw
-        over the ties, ``rng.integers(0, ties + 1)``, written into ``out``
-        (an int32 array of len(x)) when one is given, else into a new one.
+        """Rank positions: the strictly-smaller count plus, for a query tied
+        with t ladder values, a slot floor(u (t + 1)) of one float uniform
+        u = ``rng.random()``, written into ``out`` (an int32 array of
+        len(x)) when one is given, else into a new one.
 
         A query tied with t ladder values lands in a uniform slot among the
         t + 1 around them: its rank under an independent infinitesimal
         jitter of every point. This continuous-jitter lift stands in for
         the paper's assumption that every coordinate has a continuous CDF.
+        u is a multiple of 2^-53 in [0, 1), so with s = t + 1 slots each
+        slot has probability within a relative s 2^-53 of 1/s (exactly 1/s
+        when s is a power of two), and fl((1 - 2^-53) s) < s for every
+        s <= 2^31, so no slot reaches s.
 
         The counts and the slots are found one block of queries at a time.
-        numpy draws nothing for a bound of 1, so only the queries with
-        ties > 0 draw, and a block without ties draws nothing; numpy's
-        array-bound draws, made block by block, continue the stream of one
-        whole-array ``rng.integers(0, ties + 1, dtype=np.int32)`` call.
+        Only the tied queries draw, in query order, so a block without ties
+        draws nothing, and the blocks' draws continue the stream of one
+        whole-array ``rng.random(#tied)`` call. A block that was walked
+        whole and mostly ties (a lattice block) adds its slots through the
+        block slice, its untied queries taking slot 0, rather than through
+        the tied queries' indices.
         """
         if out is None:
             out = np.empty(len(x), dtype=np.int32)
         for s in range(0, len(x), _BLOCK):
             block = slice(s, s + _BLOCK)
             _, walk, i = self._count(x[block], out[block])
-            hit = np.flatnonzero(self._values[i] == x[block][walk])
-            if len(hit):  # an empty array-bound draw still costs about 10 us
-                at = hit if isinstance(walk, slice) else walk[hit]
-                out[s + at] += rng.integers(0, self._slots[i[hit]], dtype=np.int32)
+            tied = self._values[i] == x[block][walk]
+            h = np.count_nonzero(tied)
+            if not h:
+                continue
+            u = rng.random(h)
+            if isinstance(walk, slice) and 2 * h > len(tied):  # a lattice block
+                at, slots = block, np.take(self._slots, i, mode="clip")
+                if h < len(tied):
+                    spread = np.zeros(len(tied))
+                    spread[tied] = u
+                    u = spread
+            else:
+                hit = np.flatnonzero(tied)
+                at = s + (hit if isinstance(walk, slice) else walk[hit])
+                slots = self._slots[i[hit]]
+            u *= slots
+            out[at] += u.astype(np.int32)
         return out
 
 
@@ -378,9 +409,13 @@ def prepare(
 ) -> RunPlan:
     """The batch stage: budgets, a Poissonized mixture batch, its ladders.
 
-    Every refusal (the paper-mode consistency condition, ``_BATCH_CAP``, an
-    empty batch) is raised here, before any fresh sample is drawn.
+    Every refusal (an rng that is not a ``numpy.random.Generator``, the
+    paper-mode consistency condition, ``_BATCH_CAP``, an empty batch) is
+    raised here, before any fresh sample is drawn; all but the last before
+    any draw at all.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInput(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     m = sample_budget(config)
     kap = kappa(config, m)
     if config.mode == "paper" and not consistency_satisfied(config, m, kap):

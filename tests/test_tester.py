@@ -89,7 +89,18 @@ def test_config_refuses_bools(field):
 
 
 @pytest.mark.parametrize("name", sorted(_CONSTANT_KEYS))
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_constants_are_stored_as_python_floats(name):
+    for value in (2, np.int64(2), np.float32(2.0), 2.0):
+        stored = getattr(TesterConfig(k=4, d=1, eps=1.0, **{name: value}), name)
+        assert (stored, type(stored)) == (2.0, float)
+    # ints beyond float range, and None, which only alpha takes (its default)
+    for bad in [10**400, -(10**400)] + [None] * (name != "alpha"):
+        with pytest.raises(InvalidInput, match=f"^{name} must be a positive real"):
+            TesterConfig(k=4, d=1, eps=1.0, **{name: bad})
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_KEYS))
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True, False, "x", [1.0], 1j])
 def test_every_constant_must_be_positive_and_finite(name, value):
     with pytest.raises(InvalidInput, match=f"^{name} must be a positive real"):
         TesterConfig(k=4, d=1, eps=1.0, **{name: value})
@@ -295,11 +306,14 @@ def test_verdict_invariant_under_monotone_reparametrization():
 
 
 def reference_positions(ladder, x, rng):
-    """The two-search rank draw that LadderLookup.positions must reproduce."""
+    """The two-search rank draw that LadderLookup.positions must reproduce:
+    one float uniform per tied query, in query order, scaled to its slots."""
     ladder = np.sort(ladder)
     left = np.searchsorted(ladder, x, side="left")
     right = np.searchsorted(ladder, x, side="right")
-    return left + rng.integers(0, right - left + 1)
+    tied = right > left
+    left[tied] += np.floor(rng.random(tied.sum()) * (right - left + 1)[tied]).astype(left.dtype)
+    return left
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -504,15 +518,13 @@ def test_encoded_access_blocks_match_an_unblocked_reference(case, d, n):
 @pytest.mark.parametrize("pending", [False, True])
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_int32_draws_are_the_int64_stream(n, pending):
-    # The tester draws cover levels, lattice points and tie slots as int32.
-    # numpy spends one 32-bit word per try on a bound below 2^32 whatever
-    # the output dtype, so the values and the generator state must equal
-    # those of the int64 draw, also with a half word pending.
-    ties = np.random.default_rng(n).integers(1, 9, size=n)
+    # The tester draws cover levels and lattice points as int32. numpy
+    # spends one 32-bit word per try on a bound below 2^32 whatever the
+    # output dtype, so the values and the generator state must equal those
+    # of the int64 draw, also with a half word pending.
     draws = [
         lambda rng, dtype: rng.integers(1, 12, size=(n, 2), dtype=dtype),
         lambda rng, dtype: rng.integers(0, 32, size=(n, 2), dtype=dtype),
-        lambda rng, dtype: rng.integers(0, ties.astype(dtype), dtype=dtype),
     ]
     for draw in draws:
         narrow, wide = np.random.default_rng(7), np.random.default_rng(7)
@@ -533,11 +545,13 @@ BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.rando
 @pytest.mark.parametrize("pending", [False, True])
 @pytest.mark.parametrize("high", [11, 2**31 + 1])
 def test_bounded_int32_is_numpys_array_bound_draw(bit_generator, pending, high):
-    # LadderLookup.positions draws its tie slots one block at a time with
-    # numpy's bounded int32 draw. Bounds up to 2^31 reject up to a third of
-    # the words; bounds of 2 to 10 hardly ever do. Values, and the
-    # generator's next draws, of chunked calls must equal one whole-array
-    # call, also with a half word pending and for empty chunks.
+    # numpy's bounded int32 draw with an array of bounds, made in chunks,
+    # continues one whole-array call. The tie slots were drawn this way
+    # before they took float uniforms; no aktest code relies on it now.
+    # Bounds up to 2^31 reject up to a third of the words; bounds of 2 to
+    # 10 hardly ever do. Values, and the generator's next draws, of chunked
+    # calls must equal one whole-array call, also with a half word pending
+    # and for empty chunks.
     for seed in range(4):
         bounds = np.random.default_rng(seed).integers(2, high, size=2000, dtype=np.uint64)
         ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
@@ -552,21 +566,48 @@ def test_bounded_int32_is_numpys_array_bound_draw(bit_generator, pending, high):
         assert ours.random() == theirs.random()
 
 
-def test_bounded_int32_rejects_like_numpy():
-    # 2^31 - 2^29 + 1 rejects a word with probability about 1/4 ...
-    bounds = np.full(3000, 2**31 - 2**29 + 1, dtype=np.uint64)
-    words = np.random.default_rng(1).integers(0, 2**32, size=3000, dtype=np.uint32)
-    low = (words * bounds) & 0xFFFFFFFF
-    assert (low < (2**32 - bounds) % bounds).sum() > 500
-    # ... and a block draw that rejects still continues one whole-array call
-    ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
-    drawn = [ours.integers(0, c, dtype=np.int32) for c in np.split(bounds, [1234])]
-    assert np.array_equal(np.concatenate(drawn), theirs.integers(0, bounds, dtype=np.int32))
-    assert ours.bit_generator.state == theirs.bit_generator.state
-    # a tie-free block draws nothing and leaves the state as it was
-    empty = np.random.default_rng(1)
-    assert empty.integers(0, bounds[:0], dtype=np.int32).shape == (0,)
-    assert empty.bit_generator.state == np.random.default_rng(1).bit_generator.state
+def test_tie_slots_stay_below_their_count():
+    # u < 1 is at most 1 - 2^-53, and fl((1 - 2^-53) s) < s for s <= 2^31,
+    # so floor(u s) never reaches s slots
+    top = np.nextafter(1.0, 0.0)
+    slots = np.concatenate([np.arange(2, 2**16 + 1), [2**30 + 1, 2**31 - 1]])
+    assert np.array_equal(np.floor(top * slots), slots - 1)
+    u = np.full(len(slots), top)
+    u *= slots.astype(np.int32)  # positions' own arithmetic
+    assert np.array_equal(u.astype(np.int32), slots - 1)
+    # every tied query lands in one of its t + 1 slots, and takes each of them
+    ladder = np.repeat(np.arange(6.0), [1, 2, 3, 5, 8, 13])
+    x = np.repeat(np.arange(6.0), 4000)
+    at = LadderLookup(ladder).positions(x, np.random.default_rng(12))
+    left = np.searchsorted(ladder, x, side="left")
+    right = np.searchsorted(ladder, x, side="right")
+    assert ((left <= at) & (at <= right)).all()
+    for value in range(6):
+        seen = np.unique(at[x == value])
+        assert np.array_equal(seen, np.arange(left[x == value][0], right[x == value][0] + 1))
+
+
+def test_tie_slot_counts_pass_a_chi_square_test():
+    # On a lattice with 1 to 12 ties per value, the slot counts of 2^18
+    # queries per value must fit the uniform law over the t + 1 slots. The
+    # float law's bias, below s 2^-53 per slot, is far below what a sample
+    # this size can see. The seed is fixed, so the test is deterministic.
+    ties = np.arange(1, 13)
+    ladder = np.repeat(np.arange(len(ties), dtype=float), ties)
+    n = 1 << 18
+    x = np.repeat(np.arange(len(ties), dtype=float), n)
+    at = LadderLookup(ladder).positions(x, np.random.default_rng(2024))
+    left = np.searchsorted(ladder, np.arange(len(ties)))
+    statistic, dof = 0.0, 0
+    for v, t in enumerate(ties):
+        counts = np.bincount(at[v * n : (v + 1) * n] - left[v], minlength=t + 1)
+        assert len(counts) == t + 1
+        expected = n / (t + 1)
+        statistic += float(((counts - expected) ** 2 / expected).sum())
+        dof += t
+    # 78 degrees of freedom: mean 78, sd about 12.5; 6 sd is past p = 1e-6
+    assert dof == 78
+    assert statistic < dof + 6 * math.sqrt(2 * dof)
 
 
 @pytest.mark.parametrize(
@@ -620,7 +661,7 @@ def test_choice_index_is_rng_choice(k):
 # stream of the families or the tester moves these. Each trial stops after two
 # agreeing repeats; their Z are the first two that three repeats would draw.
 GATE_PINS = [
-    ("uniform-equal", 8, 1.0, 201, "0x1.c7b0000000000p+13", "0x1.f716a4800ca47p+15", 1169249, 88, (14582, -6518)),
+    ("uniform-equal", 8, 1.0, 201, "-0x1.f480000000000p+10", "0x1.f716a4800ca47p+15", 1170237, 88, (-11120, -2002)),
     ("hist-equal", 16, 1.0, 202, "-0x1.29e0000000000p+13", "0x1.54c9241060290p+16", 2838512, 279, (-9532, -12734)),
     ("hist-far", 16, 4.0, 204, "0x1.f174000000000p+15", "0x1.2549ec72db79ep+14", 332609, 1043, (63674, 70166)),
 ]
@@ -704,6 +745,26 @@ def test_samples_used_matches_its_closed_form(s_multiplier):
         deviations.append(result.samples_used - means)
         variance += means
     assert abs(np.mean(deviations)) <= 4 * math.sqrt(variance) / len(deviations)
+
+
+@pytest.mark.parametrize("kind", ["RandomState", "int", "None", "PCG64"])
+def test_prepare_refuses_an_rng_that_is_not_a_generator(kind):
+    rng = {"RandomState": np.random.RandomState(0), "int": 0, "None": None}.get(
+        kind, np.random.PCG64(0)
+    )
+    calls = []
+
+    def access(n, generator):
+        calls.append(n)
+        return np.zeros((n, 1))
+
+    with pytest.raises(InvalidInput, match="numpy.random.Generator"):
+        prepare(access, access, cheap_config(), rng)
+    with pytest.raises(InvalidInput, match="numpy.random.Generator"):
+        ak_closeness_test(access, access, cheap_config(), rng)
+    assert calls == []
+    if isinstance(rng, np.random.RandomState):  # nothing drawn from it either
+        assert rng.random() == np.random.RandomState(0).random()
 
 
 def test_prepare_refuses_before_any_fresh_draw():
