@@ -302,10 +302,9 @@ class LadderLookup:
         The counts and the slots are found one block of queries at a time.
         Only the tied queries draw, in query order, so a block without ties
         draws nothing, and the blocks' draws continue the stream of one
-        whole-array ``rng.random(#tied)`` call. A block that was walked
-        whole and mostly ties (a lattice block) adds its slots through the
-        block slice, its untied queries taking slot 0, rather than through
-        the tied queries' indices.
+        whole-array ``rng.random(#tied)`` call. The draws are scattered by
+        the tie mask over the walked queries, whose untied ones take slot 0,
+        and added through the block slice when the whole block was walked.
         """
         if out is None:
             out = np.empty(len(x), dtype=np.int32)
@@ -316,19 +315,10 @@ class LadderLookup:
             h = np.count_nonzero(tied)
             if not h:
                 continue
-            u = rng.random(h)
-            if isinstance(walk, slice) and 2 * h > len(tied):  # a lattice block
-                at, slots = block, np.take(self._slots, i, mode="clip")
-                if h < len(tied):
-                    spread = np.zeros(len(tied))
-                    spread[tied] = u
-                    u = spread
-            else:
-                hit = np.flatnonzero(tied)
-                at = s + (hit if isinstance(walk, slice) else walk[hit])
-                slots = self._slots[i[hit]]
-            u *= slots
-            out[at] += u.astype(np.int32)
+            u = np.zeros(len(tied))
+            u[tied] = rng.random(h)
+            u *= np.take(self._slots, i, mode="clip")
+            out[block if isinstance(walk, slice) else s + walk] += u.astype(np.int32)
         return out
 
 
